@@ -13,6 +13,7 @@ Library layout:
 
 from .bounds import (
     BoundReport,
+    RiordanReport,
     ThresholdReport,
     alon_furedi_threshold,
     chernoff_bound,

@@ -18,18 +18,25 @@ _CHUNK = 1 << 20
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """Minimum edge probabilities from the two embedding thresholds, plus
-    the density-condition values."""
+    """Minimum edge probabilities from the two embedding thresholds;
+    eq1_term_structural_alt is set only when asked for."""
 
-    eq1_term_structural: float | None = None
-    eq1_term_colour: float | None = None
-    eq1_p_min: float | None = None
-    eq1_term_structural_alt: float | None = None
-    eq2_p_min: float | None = None
-    hypothesis_ok: bool = True
-    riordan_value: float | None = None
-    side_condition_edges: float | None = None
-    side_condition_sparsity: float | None = None
+    eq1_term_structural: float
+    eq1_term_colour: float
+    eq1_p_min: float
+    eq1_term_structural_alt: float | None
+    eq2_p_min: float
+    hypothesis_ok: bool
+
+
+@dataclass(frozen=True)
+class RiordanReport:
+    """Values of the density-based embedding condition and its side
+    conditions."""
+
+    riordan_value: float
+    side_condition_edges: float
+    side_condition_sparsity: float
 
 
 @dataclass(frozen=True)
@@ -42,7 +49,6 @@ class BoundReport:
     """
 
     chernoff_term: float
-    log_l: dict[int, float] | None
     s_range: tuple[int, int]
     log_theta: float
     theta_raw: float
@@ -136,21 +142,13 @@ def theta(n: int, d: int, kappa: int, eps: float, p1: float) -> BoundReport:
     chern = chernoff_bound(n, p1, eps)
     lo, hi = kappa - d * n + 1, kappa - 1
     pieces = [math.log(chern)] if chern > 0 else []
-    table: dict[int, float] | None = {}
     for start in range(lo, hi + 1, _CHUNK):
         s = np.arange(start, min(start + _CHUNK, hi + 1), dtype=np.float64)
-        vals = _log_l_array(n, d, kappa, eps, p1, s)
-        pieces.append(float(logsumexp(vals)))
-        if table is not None:
-            if hi - lo + 1 <= 2 * _CHUNK:
-                table.update(zip((int(x) for x in s), (float(v) for v in vals)))
-            else:
-                table = None  # too large to materialise
+        pieces.append(float(logsumexp(_log_l_array(n, d, kappa, eps, p1, s))))
     log_theta = float(logsumexp(pieces)) if pieces else -math.inf
     raw = math.exp(log_theta) if log_theta < 700 else math.inf
     return BoundReport(
         chernoff_term=chern,
-        log_l=table,
         s_range=(lo, hi),
         log_theta=log_theta,
         theta_raw=raw,
@@ -160,12 +158,12 @@ def theta(n: int, d: int, kappa: int, eps: float, p1: float) -> BoundReport:
 
 def riordan_condition(
     n: int, p: float, gamma: float, delta: int, e_H_total: int
-) -> ThresholdReport:
+) -> RiordanReport:
     """Values of the density-based embedding conditions: n p^gamma / delta^4
     and the side conditions e(H) p and (1-p) sqrt(n)."""
     if gamma <= 0:
         raise ValueError(f"need gamma > 0, got {gamma}")
-    return ThresholdReport(
+    return RiordanReport(
         riordan_value=n * p**gamma / delta**4,
         side_condition_edges=e_H_total * p,
         side_condition_sparsity=(1.0 - p) * math.sqrt(n),

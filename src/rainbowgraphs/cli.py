@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: gen, extract, couple, bounds, gamma, search, trial, sweep.
+Subcommands: gen, extract, bounds, gamma, search, trial, sweep.
 Graphs cross the boundary as edge-list text; experiments emit JSONL
 records and (for sweeps) a CSV summary.
 """
@@ -9,20 +9,18 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import sys
 from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import edgelist, targets
-from .coupling import couple
 from .flow import HALL_KAPPA_CAP, check_hall_bruteforce, extract_rainbow_dout, extract_via_permutation
 from .graphs import sample_coloured_digraph, sample_coloured_graph, split_probability
 from .harness import (
     ExperimentConfig,
     SWEEP_AXES,
-    TARGET_FAMILIES,
-    build_target,
     records_to_jsonl,
     run_sweep,
     run_trials,
@@ -38,6 +36,12 @@ def _write(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
+def _write_graph(g, out: str | None) -> None:
+    buf = io.StringIO()
+    edgelist.write_graph(g, buf)
+    _write(buf.getvalue(), out)
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     rng = substream(args.seed, "gen")
     if args.directed:
@@ -45,11 +49,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         g = sample_coloured_digraph(args.n, p1, args.kappa, rng)
     else:
         g = sample_coloured_graph(args.n, args.p, args.kappa, rng)
-    import io
-
-    buf = io.StringIO()
-    edgelist.write_graph(g, buf)
-    _write(buf.getvalue(), args.out)
+    _write_graph(g, args.out)
     return 0
 
 
@@ -57,8 +57,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     text = Path(args.infile).read_text()
     dgr = edgelist.read_digraph(text)
     if args.permute:
-        rainbow = extract_via_permutation(dgr, args.d, substream(args.seed, "extract"))
-        result = rainbow
+        result = extract_via_permutation(dgr, args.d, substream(args.seed, "extract"))
     else:
         res = extract_rainbow_dout(dgr, args.d)
         result = res[1] if res is not None else None
@@ -74,32 +73,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
                 lines.append(f"deficiency: {witness.deficiency}")
         _write("\n".join(lines) + "\n", args.out)
         return 1
-    import io
-
-    buf = io.StringIO()
-    edgelist.write_graph(result.digraph, buf)
-    _write(buf.getvalue(), args.out)
-    return 0
-
-
-def _cmd_couple(args: argparse.Namespace) -> int:
-    lines = []
-    for t in range(args.trials):
-        rng = substream(args.seed, t, "couple")
-        out = couple(args.n, args.d, args.p, args.eps, rng)
-        lines.append(
-            json.dumps(
-                {
-                    "seed": args.seed,
-                    "trial": t,
-                    "k_max": out.k_max,
-                    "success": out.success,
-                    "inner_arc_count": len(out.inner.arcs) if out.inner else None,
-                },
-                separators=(",", ":"),
-            )
-        )
-    _write("\n".join(lines) + "\n", args.out)
+    _write_graph(result.digraph, args.out)
     return 0
 
 
@@ -115,9 +89,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         rio = bounds_mod.riordan_condition(
             args.n, args.p, args.gamma, args.delta, edges
         )
-        payload["riordan_value"] = rio.riordan_value
-        payload["side_condition_edges"] = rio.side_condition_edges
-        payload["side_condition_sparsity"] = rio.side_condition_sparsity
+        payload.update(dataclasses.asdict(rio))
     if args.d is not None and args.kappa is not None:
         p1 = split_probability(args.p).p1
         rep = bounds_mod.theta(args.n, args.d, args.kappa, args.eps, p1)
@@ -137,7 +109,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_gamma(args: argparse.Namespace) -> int:
-    h = build_target(args.family, args.size, args.seed)
+    h = targets.build_target(args.family, args.size, args.seed)
     profile = targets.density_profile(h, exact=args.exact)
     lines = [f"target={h.name} n={h.n_H} edges={h.e_total} delta={h.delta}"]
     lines.extend(f"e_H({x})={e}" for x, e in sorted(profile.table.items()))
@@ -158,9 +130,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             if args.target not in ("cycle", "path", "matching", "tree"):
                 raise SystemExit(f"--size is required for --target {args.target}")
             size = g.n
-        h = build_target(args.target, size, args.seed)
-        if h.n_H < g.n:
-            h = targets.TargetGraph(name=h.name, n_H=g.n, edges=h.edges)
+        h = targets.pad_target(targets.build_target(args.target, size, args.seed), g.n)
         emb = find_rainbow_copy_exact(g, h)
     if emb is None:
         _write("NONE\n", args.out)
@@ -252,10 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_extract)
 
-    sp = sub.add_parser("couple", help="binomial-truncation coupling trials")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_couple)
-
     sp = sub.add_parser("bounds", help="threshold and failure-bound reports")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--delta", type=int, required=True)
@@ -271,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_bounds)
 
     sp = sub.add_parser("gamma", help="density profile and gamma of a target")
-    sp.add_argument("--family", dest="family", choices=TARGET_FAMILIES, required=True)
+    sp.add_argument("--family", dest="family", choices=targets.FAMILIES, required=True)
     sp.add_argument("--size", type=int, required=True)
     sp.add_argument("--exact", action="store_true")
     sp.add_argument("--seed", type=int, default=0)
@@ -280,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("search", help="exact rainbow copy search")
     sp.add_argument("--graph", required=True)
-    sp.add_argument("--target", choices=TARGET_FAMILIES, required=True)
+    sp.add_argument("--target", choices=targets.FAMILIES, required=True)
     sp.add_argument("--size", type=int, default=None)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
@@ -289,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("trial", help="Monte Carlo trials in one mode")
     sp.add_argument("--mode", choices=("lemma3", "lemma4", "pipeline"), required=True)
     _add_common(sp)
-    sp.add_argument("--target", choices=TARGET_FAMILIES, default=None)
+    sp.add_argument("--target", choices=targets.FAMILIES, default=None)
     sp.add_argument("--size", type=int, default=None)
     sp.set_defaults(fn=_cmd_trial)
 
@@ -298,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--axis", choices=SWEEP_AXES, required=True)
     sp.add_argument("--grid", type=float, nargs="+", required=True)
     _add_common(sp)
-    sp.add_argument("--target", choices=TARGET_FAMILIES, default=None)
+    sp.add_argument("--target", choices=targets.FAMILIES, default=None)
     sp.add_argument("--size", type=int, default=None)
     sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     sp.add_argument("--summary", default=None)

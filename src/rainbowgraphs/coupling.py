@@ -30,33 +30,38 @@ class CouplingOutcome:
         return max(self.counts)
 
 
-def couple(
-    n: int, d: int, p_target: float, eps: float, rng: np.random.Generator
-) -> CouplingOutcome:
-    """Sample d-out, draw per-vertex Binomial(n-1, p1) counts, and truncate.
+def truncate(
+    dgr: ColouredDigraph, d: int, p_target: float, rng: np.random.Generator
+) -> tuple[np.ndarray, ColouredDigraph | None]:
+    """Draw per-vertex Binomial(n-1, p1) counts and keep the first counts[v]
+    arcs of each vertex v, in stored arc order.
 
     p1 solves (1-p1)^2 = 1-p_target, so forgetting orientation of the
-    inner digraph gives the undirected model at p_target.  Fails (inner
-    absent) when some count exceeds d.
+    truncated digraph gives the undirected model at p_target.  The
+    truncated digraph is None when some count exceeds d.
     """
-    if eps <= 0:
-        raise ValueError(f"need eps > 0, got {eps}")
-    p1 = split_probability(p_target).p1
-    d_out = sample_d_out(n, d, rng)
-    counts = rng.binomial(n - 1, p1, size=n)
+    counts = rng.binomial(dgr.n - 1, split_probability(p_target).p1, size=dgr.n)
     if counts.max(initial=0) > d:
-        return CouplingOutcome(
-            d_out=d_out, counts=tuple(int(k) for k in counts), inner=None, success=False
-        )
-    by_tail = d_out.arcs_by_tail()
+        return counts, None
+    by_tail = dgr.arcs_by_tail()
     arcs = tuple(
-        (v, h, c)
-        for v in range(n)
-        for h, c in by_tail[v][: int(counts[v])]
+        (v, h, c) for v in range(dgr.n) for h, c in by_tail[v][: int(counts[v])]
     )
-    inner = ColouredDigraph(n=n, kappa=d_out.kappa, arcs=arcs)
+    return counts, ColouredDigraph(n=dgr.n, kappa=dgr.kappa, arcs=arcs)
+
+
+def couple(
+    n: int, d: int, p_target: float, rng: np.random.Generator
+) -> CouplingOutcome:
+    """Sample d-out and truncate it at Binomial(n-1, p1) counts; fails
+    (inner absent) when some count exceeds d."""
+    d_out = sample_d_out(n, d, rng)
+    counts, inner = truncate(d_out, d, p_target, rng)
     return CouplingOutcome(
-        d_out=d_out, counts=tuple(int(k) for k in counts), inner=inner, success=True
+        d_out=d_out,
+        counts=tuple(int(k) for k in counts),
+        inner=inner,
+        success=inner is not None,
     )
 
 

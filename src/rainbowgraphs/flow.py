@@ -127,17 +127,11 @@ def build_network(d_in: ColouredDigraph, d: int) -> FlowNetwork:
     return FlowNetwork(n=d_in.n, kappa=d_in.kappa, d=d, middle_arcs=tuple(pairs))
 
 
-def max_flow(net: FlowNetwork) -> tuple[int, dict[tuple[int, int], int]]:
-    """Exact integer max-flow; returns the value and per-arc flows keyed by
-    (node, node)."""
+def max_flow(net: FlowNetwork) -> tuple[int, csr_matrix]:
+    """Exact integer max-flow; returns the value and the node-by-node flow
+    matrix (an arc's reverse entry holds its flow negated)."""
     res = maximum_flow(net.capacity_matrix(), net.source, net.sink)
-    flow = res.flow.tocoo()
-    per_arc = {
-        (int(i), int(j)): int(f)
-        for i, j, f in zip(flow.row, flow.col, flow.data)
-        if f > 0
-    }
-    return int(res.flow_value), per_arc
+    return int(res.flow_value), res.flow
 
 
 def check_hall_bruteforce(
@@ -177,7 +171,7 @@ def check_hall_bruteforce(
 
 
 def _decompose(
-    net: FlowNetwork, per_arc: dict[tuple[int, int], int], d_in: ColouredDigraph, d: int
+    net: FlowNetwork, flow: csr_matrix, d_in: ColouredDigraph, d: int
 ) -> tuple[ColourAssignment, RainbowDOut]:
     # Source caps of 1 force every middle arc's flow into {0, 1}, so each
     # unit path is just a saturated (colour, vertex) middle arc.
@@ -185,10 +179,12 @@ def _decompose(
     for t, h, c in d_in.arcs:
         heads_by.setdefault((t, c), []).append(h)
     assigned: list[list[tuple[int, int]]] = [[] for _ in range(d_in.n)]
-    for x, v in net.middle_arcs:
-        if per_arc.get((net.colour_node(x), net.vertex_node(v)), 0) >= 1:
-            head = min(heads_by[(v, x)])
-            assigned[v].append((x, head))
+    middle = flow[
+        net.colour_node(1) : net.vertex_node(0), net.vertex_node(0) : net.sink
+    ].tocoo()
+    saturated = middle.data > 0
+    for x, v in zip((middle.row[saturated] + 1).tolist(), middle.col[saturated].tolist()):
+        assigned[v].append((x, min(heads_by[(v, x)])))
     per_vertex = tuple(tuple(sorted(pairs)) for pairs in assigned)
     arcs = tuple(
         (v, h, x) for v in range(d_in.n) for x, h in per_vertex[v]
@@ -209,10 +205,10 @@ def extract_rainbow_dout(
     smallest head is chosen; `extract_via_permutation` removes that bias.
     """
     net = build_network(d_in, d)
-    value, per_arc = max_flow(net)
+    value, flow = max_flow(net)
     if value < d * d_in.n:
         return None
-    return _decompose(net, per_arc, d_in, d)
+    return _decompose(net, flow, d_in, d)
 
 
 def extract_via_permutation(

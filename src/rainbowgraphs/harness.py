@@ -25,20 +25,20 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .coupling import couple
+from .coupling import couple, truncate
 from .flow import build_network, extract_via_permutation, max_flow
 from .graphs import (
+    ColouredDigraph,
     coalesce_orientation,
     sample_coloured_digraph,
     split_probability,
 )
 from .rng import substream
 from .search import EXACT_SEARCH_CAP, find_rainbow_copy_exact
-from . import targets
+from .targets import FAMILIES, build_target, pad_target
 
 MODES = ("lemma3", "lemma4", "pipeline")
 SWEEP_AXES = ("p", "kappa", "d", "n")
-TARGET_FAMILIES = ("grid", "hypercube", "cycle", "path", "matching", "tree")
 
 _JSONL_FIELDS = (
     "trial",
@@ -70,14 +70,41 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
+        """Check every parameter the trials rely on, so a bad config is
+        rejected before any trial runs, never partway through a run."""
         if self.trials < 0:
             raise ValueError(f"need trials >= 0, got {self.trials}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p={self.p} outside [0, 1]")
+        if not 0.0 <= self.p < 1.0:
+            raise ValueError(f"p={self.p} outside [0, 1)")
         if self.kappa < 1:
             raise ValueError(f"need kappa >= 1, got {self.kappa}")
+        if self.eps <= 0:
+            raise ValueError(f"need eps > 0, got {self.eps}")
+        if self.d < 1:
+            raise ValueError(f"need d >= 1, got {self.d}")
+        if self.n < 2:
+            raise ValueError(f"need n >= 2, got {self.n}")
+        if self.seed < 0:
+            raise ValueError(f"need seed >= 0, got {self.seed}")
         if self.mode not in MODES and self.mode != "sweep":
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode == "lemma4" and self.d > self.n - 1:
+            raise ValueError(f"lemma4 needs d <= n-1, got d={self.d}, n={self.n}")
+        if self.mode == "pipeline":
+            self._check_pipeline()
+
+    def _check_pipeline(self) -> None:
+        if self.target_family not in FAMILIES or self.target_size is None:
+            raise ValueError("pipeline mode needs a target family and size")
+        if self.n > EXACT_SEARCH_CAP:
+            raise ValueError(f"pipeline needs n <= {EXACT_SEARCH_CAP}, got {self.n}")
+        p_inner = (2.0 - self.eps) * self.d / self.n
+        if not 0.0 <= p_inner < 1.0:
+            raise ValueError(
+                f"(2-eps)d/n = {p_inner} is not a probability; reduce d or raise n"
+            )
+        # the target must fit the host
+        pad_target(build_target(self.target_family, self.target_size, self.seed), self.n)
 
 
 @dataclass(frozen=True)
@@ -96,32 +123,6 @@ class TrialRecord:
     def to_json(self) -> str:
         payload = {k: getattr(self, k) for k in _JSONL_FIELDS}
         return json.dumps(payload, separators=(",", ":"), sort_keys=False)
-
-
-def build_target(family: str, size: int, seed: int) -> targets.TargetGraph:
-    if family == "grid":
-        return targets.make_grid(size)
-    if family == "hypercube":
-        return targets.make_hypercube(size)
-    if family == "cycle":
-        return targets.make_cycle(size)
-    if family == "path":
-        return targets.make_path(size)
-    if family == "matching":
-        return targets.make_matching(size)
-    if family == "tree":
-        return targets.random_tree(size, substream(seed, "target-tree"))
-    raise ValueError(f"unknown target family {family!r}")
-
-
-def _pad_target(h: targets.TargetGraph, n: int) -> targets.TargetGraph:
-    """Pad a non-spanning target with isolated vertices so the spanning
-    search applies."""
-    if h.n_H > n:
-        raise ValueError(f"target has {h.n_H} vertices but host has {n}")
-    if h.n_H == n:
-        return h
-    return targets.TargetGraph(name=h.name, n_H=n, edges=h.edges)
 
 
 def _lemma3_trial(config: ExperimentConfig, t: int) -> TrialRecord:
@@ -144,7 +145,7 @@ def _lemma3_trial(config: ExperimentConfig, t: int) -> TrialRecord:
 def _lemma4_trial(config: ExperimentConfig, t: int) -> TrialRecord:
     start = time.perf_counter()
     rng = substream(config.seed, t, "lemma4")
-    out = couple(config.n, config.d, config.p, config.eps, rng)
+    out = couple(config.n, config.d, config.p, rng)
     return TrialRecord(
         trial=t,
         seed=config.seed,
@@ -159,19 +160,20 @@ def _lemma4_trial(config: ExperimentConfig, t: int) -> TrialRecord:
 def _pipeline_trial(config: ExperimentConfig, t: int) -> TrialRecord:
     start = time.perf_counter()
     n, d = config.n, config.d
+
+    def record(verdict: str, **fields) -> TrialRecord:
+        return TrialRecord(
+            trial=t, seed=config.seed, mode="pipeline", success=verdict == "found",
+            pipeline_verdict=verdict, elapsed=time.perf_counter() - start, **fields,
+        )
+
     p1 = split_probability(config.p).p1
     dgr = sample_coloured_digraph(
         n, p1, config.kappa, substream(config.seed, t, "pipe-sample")
     )
-    rainbow = extract_via_permutation(
-        dgr, d, substream(config.seed, t, "pipe-perm")
-    )
+    rainbow = extract_via_permutation(dgr, d, substream(config.seed, t, "pipe-perm"))
     if rainbow is None:
-        return TrialRecord(
-            trial=t, seed=config.seed, mode="pipeline", success=False,
-            flow_value=None, pipeline_verdict="extraction-failed",
-            elapsed=time.perf_counter() - start,
-        )
+        return record("extraction-failed")
     # The deterministic flow decomposition imposes an arc order; a fresh
     # per-vertex shuffle restores exchangeability before truncation.
     shuffle_rng = substream(config.seed, t, "pipe-shuffle")
@@ -181,44 +183,22 @@ def _pipeline_trial(config: ExperimentConfig, t: int) -> TrialRecord:
         row = list(by_tail[v])
         shuffle_rng.shuffle(row)
         arcs.extend((v, h, c) for h, c in row)
-    shuffled = type(rainbow.digraph)(
-        n=n, kappa=rainbow.digraph.kappa, arcs=tuple(arcs)
+    shuffled = ColouredDigraph(n=n, kappa=rainbow.digraph.kappa, arcs=tuple(arcs))
+    counts, inner = truncate(
+        shuffled, d, (2.0 - config.eps) * d / n,
+        substream(config.seed, t, "pipe-truncate"),
     )
-    p_inner = (2.0 - config.eps) * d / n
-    if not 0.0 <= p_inner < 1.0:
-        raise ValueError(
-            f"(2-eps)d/n = {p_inner} is not a probability; reduce d or raise n"
-        )
-    p1_inner = split_probability(p_inner).p1
-    trunc_rng = substream(config.seed, t, "pipe-truncate")
-    counts = trunc_rng.binomial(n - 1, p1_inner, size=n)
     k_max = int(counts.max())
-    if k_max > d:
-        return TrialRecord(
-            trial=t, seed=config.seed, mode="pipeline", success=False,
-            flow_value=d * n, k_max=k_max, pipeline_verdict="coupling-failed",
-            elapsed=time.perf_counter() - start,
-        )
-    by_tail = shuffled.arcs_by_tail()
-    inner_arcs = tuple(
-        (v, h, c) for v in range(n) for h, c in by_tail[v][: int(counts[v])]
-    )
-    inner = type(shuffled)(n=n, kappa=shuffled.kappa, arcs=inner_arcs)
+    if inner is None:
+        return record("coupling-failed", flow_value=d * n, k_max=k_max)
     host = coalesce_orientation(inner, substream(config.seed, t, "pipe-coalesce"))
-    h = _pad_target(
+    h = pad_target(
         build_target(config.target_family, config.target_size, config.seed), n
     )
     emb = find_rainbow_copy_exact(host, h)
-    return TrialRecord(
-        trial=t,
-        seed=config.seed,
-        mode="pipeline",
-        success=emb is not None,
-        flow_value=d * n,
-        k_max=k_max,
-        inner_arc_count=len(inner_arcs),
-        pipeline_verdict="found" if emb is not None else "no-embedding",
-        elapsed=time.perf_counter() - start,
+    return record(
+        "found" if emb is not None else "no-embedding",
+        flow_value=d * n, k_max=k_max, inner_arc_count=len(inner.arcs),
     )
 
 
@@ -241,13 +221,6 @@ def run_trials(config: ExperimentConfig) -> list[TrialRecord]:
     """
     if config.mode not in _TRIAL_FN:
         raise ValueError(f"mode {config.mode!r} is not a trial mode")
-    if config.mode == "pipeline":
-        if config.target_family is None or config.target_size is None:
-            raise ValueError("pipeline mode needs a target family and size")
-        if config.n > EXACT_SEARCH_CAP:
-            raise ValueError(
-                f"pipeline needs n <= {EXACT_SEARCH_CAP}, got {config.n}"
-            )
     work = [(config, t) for t in range(config.trials)]
     if config.jobs > 1 and config.trials > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
@@ -255,11 +228,6 @@ def run_trials(config: ExperimentConfig) -> list[TrialRecord]:
     else:
         records = [_run_one(w) for w in work]
     return sorted(records, key=lambda r: r.trial)
-
-
-run_lemma3 = run_trials
-run_lemma4 = run_trials
-run_pipeline = run_trials
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -310,13 +278,21 @@ def run_sweep(config: ExperimentConfig, mode: str | None = None) -> SweepResult:
     base_mode = mode or (config.mode if config.mode != "sweep" else None)
     if base_mode not in _TRIAL_FN:
         raise ValueError(f"sweep needs a trial mode, got {base_mode!r}")
+    if axis != "p":
+        fractional = [v for v in config.sweep_values if v != int(v)]
+        if fractional:
+            raise ValueError(f"axis {axis} takes integers, got {fractional}")
+    # every point's config is validated before the first point runs
+    points = [
+        replace(
+            config, mode=base_mode, sweep_axis=None, sweep_values=(),
+            **{axis: float(value) if axis == "p" else int(value)},
+        )
+        for value in config.sweep_values
+    ]
     records: list[TrialRecord] = []
     summary: list[SweepPoint] = []
-    for value in config.sweep_values:
-        cast = float(value) if axis == "p" else int(value)
-        point_config = replace(
-            config, mode=base_mode, sweep_axis=None, sweep_values=(), **{axis: cast}
-        )
+    for value, point_config in zip(config.sweep_values, points):
         recs = run_trials(point_config)
         successes = sum(r.success for r in recs)
         lo, hi = wilson_interval(successes, len(recs))

@@ -4,7 +4,8 @@ The density profile of H tabulates e_H(x), the largest number of edges
 spanned by any x-vertex subset, for x = 3 .. v(H), and the density
 exponent gamma = max_x e_H(x) / (x - 2).  Profiles are computed exactly:
 branch-and-bound subset enumeration up to 24 vertices, closed forms for
-grids, hypercubes and cycles at any size.
+grids, hypercubes and cycles at any size.  Each constructor tags its
+graph with its family, and only a tagged graph gets a closed form.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .rng import substream
+
 EXACT_PROFILE_CAP = 24
 
 
@@ -23,6 +26,7 @@ class TargetGraph:
     name: str
     n_H: int
     edges: tuple[tuple[int, int], ...]
+    family: str | None = None  # a key of FAMILIES, set by its constructor
 
     def __post_init__(self) -> None:
         seen = set()
@@ -68,7 +72,9 @@ def make_grid(m: int) -> TargetGraph:
                 edges.append((v, v + 1))
             if i + 1 < m:
                 edges.append((v, v + m))
-    return TargetGraph(name=f"grid{m}x{m}", n_H=m * m, edges=tuple(sorted(edges)))
+    return TargetGraph(
+        name=f"grid{m}x{m}", n_H=m * m, edges=tuple(sorted(edges)), family="grid"
+    )
 
 
 def make_hypercube(dim: int) -> TargetGraph:
@@ -81,21 +87,23 @@ def make_hypercube(dim: int) -> TargetGraph:
             w = v ^ (1 << b)
             if v < w:
                 edges.append((v, w))
-    return TargetGraph(name=f"Q{dim}", n_H=1 << dim, edges=tuple(sorted(edges)))
+    return TargetGraph(
+        name=f"Q{dim}", n_H=1 << dim, edges=tuple(sorted(edges)), family="hypercube"
+    )
 
 
 def make_cycle(n: int) -> TargetGraph:
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-    return TargetGraph(name=f"C{n}", n_H=n, edges=tuple(sorted(edges)))
+    return TargetGraph(name=f"C{n}", n_H=n, edges=tuple(sorted(edges)), family="cycle")
 
 
 def make_path(n: int) -> TargetGraph:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     return TargetGraph(
-        name=f"P{n}", n_H=n, edges=tuple((i, i + 1) for i in range(n - 1))
+        name=f"P{n}", n_H=n, edges=tuple((i, i + 1) for i in range(n - 1)), family="path"
     )
 
 
@@ -104,7 +112,10 @@ def make_matching(n: int) -> TargetGraph:
     if n < 2 or n % 2:
         raise ValueError(f"need even n >= 2, got {n}")
     return TargetGraph(
-        name=f"M{n}", n_H=n, edges=tuple((2 * i, 2 * i + 1) for i in range(n // 2))
+        name=f"M{n}",
+        n_H=n,
+        edges=tuple((2 * i, 2 * i + 1) for i in range(n // 2)),
+        family="matching",
     )
 
 
@@ -113,7 +124,7 @@ def random_tree(n: int, rng: np.random.Generator) -> TargetGraph:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if n == 2:
-        return TargetGraph(name="tree2", n_H=2, edges=((0, 1),))
+        return TargetGraph(name="tree2", n_H=2, edges=((0, 1),), family="tree")
     seq = [int(x) for x in rng.integers(0, n, size=n - 2)]
     degree = [1] * n
     for x in seq:
@@ -126,7 +137,39 @@ def random_tree(n: int, rng: np.random.Generator) -> TargetGraph:
         degree[x] -= 1
     u, v = (v for v in range(n) if degree[v] == 1)
     edges.append((u, v))
-    return TargetGraph(name=f"tree{n}", n_H=n, edges=tuple(sorted(edges)))
+    return TargetGraph(name=f"tree{n}", n_H=n, edges=tuple(sorted(edges)), family="tree")
+
+
+FAMILIES = {
+    "grid": make_grid,
+    "hypercube": make_hypercube,
+    "cycle": make_cycle,
+    "path": make_path,
+    "matching": make_matching,
+    "tree": random_tree,
+}
+
+
+def build_target(family: str, size: int, seed: int) -> TargetGraph:
+    """The family's graph at `size` (side for grids, dimension for
+    hypercubes, vertex count otherwise); a random tree draws from the
+    seed's "target-tree" substream."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown target family {family!r}")
+    if family == "tree":
+        return random_tree(size, substream(seed, "target-tree"))
+    return FAMILIES[family](size)
+
+
+def pad_target(h: TargetGraph, n: int) -> TargetGraph:
+    """h with isolated vertices added up to n vertices, so the spanning
+    search applies.  The padded graph has no family tag: no family's
+    closed form describes it."""
+    if h.n_H > n:
+        raise ValueError(f"target has {h.n_H} vertices but host has {n}")
+    if h.n_H == n:
+        return h
+    return TargetGraph(name=h.name, n_H=n, edges=h.edges)
 
 
 def _max_edges_per_size(h: TargetGraph) -> list[int]:
@@ -170,12 +213,11 @@ def _max_edges_per_size(h: TargetGraph) -> list[int]:
 
 
 def _closed_form_table(h: TargetGraph) -> dict[int, int] | None:
-    name = h.name
     n = h.n_H
-    if name.startswith("C"):
+    if h.family == "cycle":
         # proper subsets induce unions of paths: at most x-1 edges
         return {x: (x - 1 if x < n else n) for x in range(3, n + 1)}
-    if name.startswith("grid"):
+    if h.family == "grid":
         # densest x-vertex grid polyomino: floor(2x - 2 sqrt(x))
         table = {}
         for x in range(3, n + 1):
@@ -184,7 +226,7 @@ def _closed_form_table(h: TargetGraph) -> dict[int, int] | None:
                 k += 1
             table[x] = 2 * x - k
         return table
-    if name.startswith("Q"):
+    if h.family == "hypercube":
         # edge-isoperimetric optimum: first x vertices in binary order
         def g(x: int) -> int:
             if x <= 1:
@@ -202,8 +244,8 @@ def _closed_form_table(h: TargetGraph) -> dict[int, int] | None:
 def density_profile(h: TargetGraph, exact: bool = False) -> DensityProfile:
     """Exact e_H(x) table and gamma.
 
-    Uses the closed form for cycles, grids and hypercubes unless exact
-    subset enumeration is forced; other families require n_H <= 24.
+    Uses the closed form for a graph tagged cycle, grid or hypercube unless
+    subset enumeration is forced; other graphs require n_H <= 24.
     """
     if h.n_H < 3:
         raise ValueError(f"profile needs n_H >= 3, got {h.n_H}")

@@ -2,6 +2,7 @@ import math
 
 import mpmath
 import pytest
+from scipy.special import logsumexp
 
 from rainbowgraphs.bounds import (
     alon_furedi_threshold,
@@ -204,11 +205,12 @@ class TestTheta:
         assert rep.theta == min(1.0, rep.theta_raw)
         assert rep.theta <= 1.0
 
-    def test_log_l_table(self):
+    def test_log_theta_sums_chernoff_and_log_l_terms(self):
         rep = theta(6, 1, 9, 0.5, 0.3)
-        assert set(rep.log_l) == set(range(4, 9))
-        for s, v in rep.log_l.items():
-            assert v == pytest.approx(log_L(6, 1, 9, 0.5, 0.3, s), rel=1e-12)
+        assert rep.s_range == (4, 8)
+        terms = [math.log(chernoff_bound(6, 0.3, 0.5))]
+        terms += [log_L(6, 1, 9, 0.5, 0.3, s) for s in range(4, 9)]
+        assert rep.log_theta == pytest.approx(float(logsumexp(terms)), rel=1e-12)
 
     def test_rejects_small_kappa(self):
         with pytest.raises(ValueError):

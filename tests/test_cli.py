@@ -75,13 +75,6 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert (code == 0 and out.startswith("map:")) or out == "NONE\n"
 
-    def test_couple_jsonl(self, capsys):
-        assert main(["couple", "--n", "20", "--d", "10", "--p", "0.3",
-                     "--eps", "0.5", "--trials", "3", "--seed", "1"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 3
-        assert all('"k_max"' in ln for ln in lines)
-
 
 class TestReproducibility:
     def test_trial_byte_identical(self, tmp_path):

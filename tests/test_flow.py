@@ -56,13 +56,17 @@ class TestMaxFlow:
             d_in = random_instance(seed, 6, 8, 0.5)
             net = build_network(d_in, 1)
             caps = net.capacity_matrix()
-            value, per_arc = max_flow(net)
+            value, flow = max_flow(net)
             inflow = {v: 0 for v in range(net.num_nodes)}
             outflow = {v: 0 for v in range(net.num_nodes)}
-            for (i, j), f in per_arc.items():
-                assert 0 <= f <= caps[i, j]
-                outflow[i] += f
-                inflow[j] += f
+            coo = flow.tocoo()
+            for i, j, f in zip(coo.row, coo.col, coo.data):
+                if f > 0:
+                    assert f <= caps[i, j]
+                    outflow[i] += f
+                    inflow[j] += f
+                else:  # the reverse entry of a used arc
+                    assert flow[j, i] == -f
             for v in range(net.num_nodes):
                 if v not in (net.source, net.sink):
                     assert inflow[v] == outflow[v]

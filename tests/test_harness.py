@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from rainbowgraphs import harness
 from rainbowgraphs.harness import (
     ExperimentConfig,
     SweepPoint,
@@ -83,6 +84,37 @@ class TestRunTrials:
             run_trials(lemma4_config(mode="pipeline"))
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("p", [0.99, 0.1])
+    def test_pipeline_inner_probability_checked_at_construction(self, p):
+        # (2-eps)d/n = 1.125: used to raise only once some extraction succeeded
+        with pytest.raises(ValueError, match="not a probability"):
+            ExperimentConfig(
+                n=4, p=p, kappa=1000, eps=0.5, d=3, trials=20, seed=0,
+                mode="pipeline", target_family="cycle", target_size=4,
+            )
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("eps", -1.0), ("eps", 0.0), ("d", 0), ("seed", -1), ("n", 1), ("p", 1.0),
+         ("d", 30)],
+    )
+    def test_rejects_bad_value(self, field, value):
+        with pytest.raises(ValueError):
+            lemma4_config(**{field: value})
+
+    @pytest.mark.parametrize(
+        "family,size,n",
+        [(None, 8, 8), ("cycle", None, 8), ("wheel", 8, 8), ("cycle", 9, 8),
+         ("grid", 3, 8), ("cycle", 17, 17)],
+    )
+    def test_rejects_bad_pipeline_target(self, family, size, n):
+        base = dict(p=0.9, kappa=40, eps=1.0, d=2, trials=1, seed=0, mode="pipeline")
+        ExperimentConfig(n=8, target_family="cycle", target_size=8, **base)
+        with pytest.raises(ValueError):
+            ExperimentConfig(n=n, target_family=family, target_size=size, **base)
+
+
 class TestWilson:
     def test_degenerate(self):
         assert wilson_interval(0, 0) == (0.0, 1.0)
@@ -134,6 +166,21 @@ class TestRunSweep:
         lines = res.to_csv().strip().splitlines()
         assert lines[0] == "point,trials,successes,rate,ci_lo,ci_hi"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("axis", ["d", "n", "kappa"])
+    def test_integer_axis_rejects_fractional_value(self, axis):
+        cfg = lemma4_config(mode="sweep", sweep_axis=axis, sweep_values=(1.7,), trials=3)
+        with pytest.raises(ValueError, match="integers"):
+            run_sweep(cfg, mode="lemma4")
+
+    def test_every_point_checked_before_the_first_runs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_trials", calls.append)
+        for values in [(15, 1.7), (15, 0)]:  # a fractional d, then d=0
+            cfg = lemma4_config(mode="sweep", sweep_axis="d", sweep_values=values)
+            with pytest.raises(ValueError):
+                run_sweep(cfg, mode="lemma4")
+        assert calls == []
 
     def test_bad_axis(self):
         with pytest.raises(ValueError):

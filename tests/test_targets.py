@@ -1,15 +1,20 @@
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from rainbowgraphs.rng import substream
 from rainbowgraphs.targets import (
+    FAMILIES,
+    TargetGraph,
+    build_target,
     density_profile,
     make_cycle,
     make_grid,
     make_hypercube,
     make_matching,
     make_path,
+    pad_target,
     random_tree,
 )
 
@@ -145,3 +150,37 @@ class TestDensityProfile:
         assert density_profile(make_cycle(200)).gamma == 2.0
         assert density_profile(make_grid(6)).table[36] == 60
         assert density_profile(make_hypercube(5)).table[32] == 80
+
+
+class TestFamilyTag:
+    def test_constructors_tag_their_family(self):
+        for family in FAMILIES:
+            size = 3 if family in ("grid", "hypercube") else 6
+            assert build_target(family, size, 0).family == family
+
+    def test_untagged_graph_is_enumerated_whatever_its_name(self):
+        # K5 named like a cycle: the cycle closed form would give gamma 2
+        k5 = TargetGraph(
+            name="Complete5", n_H=5, edges=tuple(combinations(range(5), 2))
+        )
+        assert k5.family is None
+        p = density_profile(k5)
+        assert p.table == {3: 3, 4: 6, 5: 10}
+        assert p.gamma == float(Fraction(10, 3))
+
+    def test_padded_cycle_has_its_true_profile(self):
+        padded = pad_target(make_cycle(5), 8)
+        assert padded.family is None and padded.n_H == 8 and padded.e_total == 5
+        p = density_profile(padded)
+        assert p.table == brute_profile_table(padded)
+        assert p.table[8] == 5
+
+    def test_pad_keeps_spanning_target_and_rejects_oversized(self):
+        c6 = make_cycle(6)
+        assert pad_target(c6, 6) is c6
+        with pytest.raises(ValueError):
+            pad_target(c6, 5)
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError):
+            build_target("wheel", 6, 0)
