@@ -14,7 +14,7 @@ from rainbowgraphs.rng import substream
 
 
 def main() -> None:
-    n, p_target, trials = 200, 0.3, 400
+    n, p_target, eps, trials = 200, 0.3, 0.5, 400
     p1 = split_probability(p_target).p1
     print(f"n={n}, p_target={p_target} (p1={p1:.4f}), {trials} trials\n")
     print(f"{'d':>4} {'observed':>9} {'exact':>9}")
@@ -22,7 +22,7 @@ def main() -> None:
         hits = 0
         for t in range(trials):
             rng = substream(t, "demo-couple", d)
-            out = couple(n, d, p_target, rng)
+            out = couple(n, d, p_target, eps, rng)
             if out.success:
                 assert out.inner.arc_set <= out.d_out.arc_set
                 hits += 1

@@ -51,10 +51,12 @@ def truncate(
 
 
 def couple(
-    n: int, d: int, p_target: float, rng: np.random.Generator
+    n: int, d: int, p_target: float, eps: float, rng: np.random.Generator
 ) -> CouplingOutcome:
     """Sample d-out and truncate it at Binomial(n-1, p1) counts; fails
     (inner absent) when some count exceeds d."""
+    if eps <= 0:
+        raise ValueError(f"need eps > 0, got {eps}")
     d_out = sample_d_out(n, d, rng)
     counts, inner = truncate(d_out, d, p_target, rng)
     return CouplingOutcome(

@@ -145,7 +145,7 @@ def _lemma3_trial(config: ExperimentConfig, t: int) -> TrialRecord:
 def _lemma4_trial(config: ExperimentConfig, t: int) -> TrialRecord:
     start = time.perf_counter()
     rng = substream(config.seed, t, "lemma4")
-    out = couple(config.n, config.d, config.p, rng)
+    out = couple(config.n, config.d, config.p, config.eps, rng)
     return TrialRecord(
         trial=t,
         seed=config.seed,

@@ -146,7 +146,7 @@ def test_coupling_containment_and_distribution():
     successes = 0
     for i in range(2000):
         rng = substream(102, "accept-couple", i)
-        out = couple(n, d, p_target, rng)
+        out = couple(n, d, p_target, 0.5, rng)
         counts.extend(out.counts)
         if out.success:
             successes += 1

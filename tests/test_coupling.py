@@ -12,14 +12,14 @@ from rainbowgraphs.rng import substream
 
 class TestCouple:
     def test_p_zero_empty_inner(self):
-        out = couple(10, 3, 0.0, substream(0))
+        out = couple(10, 3, 0.0, 0.5, substream(0))
         assert out.success
         assert out.inner.arcs == ()
         assert out.counts == (0,) * 10
 
     def test_containment_every_trial(self):
         for t in range(200):
-            out = couple(12, 4, 0.3, substream(1, t))
+            out = couple(12, 4, 0.3, 0.5, substream(1, t))
             if out.success:
                 assert out.inner.arc_set <= out.d_out.arc_set
                 for v, k in enumerate(out.counts):
@@ -36,7 +36,7 @@ class TestCouple:
         p1 = split_probability(p_target).p1
         sizes = []
         for t in range(500):
-            out = couple(n, d, p_target, substream(2, t))
+            out = couple(n, d, p_target, eps, substream(2, t))
             if out.success:
                 sizes.append(len(out.inner.arcs))
         assert len(sizes) >= 495
@@ -51,7 +51,7 @@ class TestCouple:
         p1 = split_probability(p_target).p1
         samples = []
         for t in range(2000):
-            samples.extend(couple(n, d, p_target, substream(3, t)).counts)
+            samples.extend(couple(n, d, p_target, 0.5, substream(3, t)).counts)
         samples = np.asarray(samples)
         assert len(samples) == 100000
         hi = int(samples.max())
@@ -74,7 +74,7 @@ class TestCouple:
         cats = {frozenset(c): i for i, c in enumerate(combinations(range(1, 6), 2))}
         counts = np.zeros(10)
         for t in range(100000):
-            out = couple(6, 3, 0.0, substream(4, t))
+            out = couple(6, 3, 0.0, 0.5, substream(4, t))
             first_two = frozenset(h for h, _ in out.d_out.arcs_by_tail()[0][:2])
             counts[cats[first_two]] += 1
         _, pvalue = chisquare(counts)
@@ -82,9 +82,11 @@ class TestCouple:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            couple(10, 3, 1.0, substream(0))
+            couple(10, 3, 1.0, 0.5, substream(0))
         with pytest.raises(ValueError):
-            couple(10, 10, 0.5, substream(0))
+            couple(10, 3, 0.5, 0.0, substream(0))
+        with pytest.raises(ValueError):
+            couple(10, 10, 0.5, 0.5, substream(0))
 
 
 class TestChernoffSuccessEstimate:
