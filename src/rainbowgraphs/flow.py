@@ -179,11 +179,13 @@ def _decompose(
     for t, h, c in d_in.arcs:
         heads_by.setdefault((t, c), []).append(h)
     assigned: list[list[tuple[int, int]]] = [[] for _ in range(d_in.n)]
-    middle = flow[
-        net.colour_node(1) : net.vertex_node(0), net.vertex_node(0) : net.sink
-    ].tocoo()
-    saturated = middle.data > 0
-    for x, v in zip((middle.row[saturated] + 1).tolist(), middle.col[saturated].tolist()):
+    # Positive entries in colour rows are the flows on middle arcs (the
+    # reverse entries of source arcs are negative).
+    entries = flow.tocoo()
+    rows, first = entries.row, net.colour_node(1)
+    middle = (entries.data > 0) & (rows >= first) & (rows < net.vertex_node(0))
+    colours = (rows[middle] - first + 1).tolist()
+    for x, v in zip(colours, (entries.col[middle] - net.vertex_node(0)).tolist()):
         assigned[v].append((x, min(heads_by[(v, x)])))
     per_vertex = tuple(tuple(sorted(pairs)) for pairs in assigned)
     arcs = tuple(

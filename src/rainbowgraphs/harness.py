@@ -103,8 +103,14 @@ class ExperimentConfig:
             raise ValueError(
                 f"(2-eps)d/n = {p_inner} is not a probability; reduce d or raise n"
             )
-        # the target must fit the host
-        pad_target(build_target(self.target_family, self.target_size, self.seed), self.n)
+
+
+def _check_target(config: ExperimentConfig) -> None:
+    """Build a pipeline config's target once, so a target that cannot be
+    built or does not fit the host fails before the first trial.  Not in
+    __post_init__, which runs for every config and every replace()."""
+    if config.mode == "pipeline":
+        pad_target(build_target(config.target_family, config.target_size, config.seed), config.n)
 
 
 @dataclass(frozen=True)
@@ -221,6 +227,7 @@ def run_trials(config: ExperimentConfig) -> list[TrialRecord]:
     """
     if config.mode not in _TRIAL_FN:
         raise ValueError(f"mode {config.mode!r} is not a trial mode")
+    _check_target(config)
     work = [(config, t) for t in range(config.trials)]
     if config.jobs > 1 and config.trials > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
@@ -290,6 +297,8 @@ def run_sweep(config: ExperimentConfig, mode: str | None = None) -> SweepResult:
         )
         for value in config.sweep_values
     ]
+    for point_config in points:
+        _check_target(point_config)
     records: list[TrialRecord] = []
     summary: list[SweepPoint] = []
     for value, point_config in zip(config.sweep_values, points):

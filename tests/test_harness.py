@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -105,14 +106,29 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "family,size,n",
-        [(None, 8, 8), ("cycle", None, 8), ("wheel", 8, 8), ("cycle", 9, 8),
-         ("grid", 3, 8), ("cycle", 17, 17)],
+        [(None, 8, 8), ("cycle", None, 8), ("wheel", 8, 8), ("cycle", 17, 17)],
     )
     def test_rejects_bad_pipeline_target(self, family, size, n):
         base = dict(p=0.9, kappa=40, eps=1.0, d=2, trials=1, seed=0, mode="pipeline")
         ExperimentConfig(n=8, target_family="cycle", target_size=8, **base)
         with pytest.raises(ValueError):
             ExperimentConfig(n=n, target_family=family, target_size=size, **base)
+
+    @pytest.mark.parametrize("family,size", [("cycle", 9), ("grid", 3), ("matching", 7)])
+    def test_unfit_target_fails_before_any_trial(self, family, size, monkeypatch):
+        # 9 vertices do not fit a host of 8; a matching on 7 cannot be built
+        monkeypatch.setitem(
+            harness._TRIAL_FN, "pipeline", lambda c, t: pytest.fail("a trial ran")
+        )
+        config = ExperimentConfig(
+            n=8, p=0.9, kappa=40, eps=1.0, d=2, trials=3, seed=0, mode="pipeline",
+            target_family=family, target_size=size,
+        )
+        with pytest.raises(ValueError):
+            run_trials(config)
+        sweep = replace(config, mode="sweep", sweep_axis="n", sweep_values=(12, 8))
+        with pytest.raises(ValueError):
+            run_sweep(sweep, mode="pipeline")
 
 
 class TestWilson:
