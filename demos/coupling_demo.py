@@ -6,6 +6,7 @@ digraph is an independent-arc model contained in the d-out sample.  The
 observed frequency is compared with the exact product of binomial CDFs.
 """
 
+import numpy as np
 from scipy.stats import binom
 
 from rainbowgraphs.coupling import couple
@@ -24,7 +25,9 @@ def main() -> None:
             rng = substream(t, "demo-couple", d)
             out = couple(n, d, p_target, eps, rng)
             if out.success:
-                assert out.inner.arc_set <= out.d_out.arc_set
+                # every inner arc is a d-out arc (both are uncoloured)
+                inner, outer = out.inner.arcs, out.d_out.arcs
+                assert np.isin(inner[:, 0] * n + inner[:, 1], outer[:, 0] * n + outer[:, 1]).all()
                 hits += 1
         exact = binom.cdf(d, n - 1, p1) ** n
         print(f"{d:>4} {hits / trials:>9.3f} {exact:>9.3f}")

@@ -25,11 +25,11 @@ def main() -> None:
                   f"{witness.colours} (deficiency {witness.deficiency})")
             continue
         rainbow.check(g)
-        colours = sorted(c for _, _, c in rainbow.digraph.arcs)
-        print(f"seed {seed}: extracted {len(rainbow.digraph.arcs)} arcs, "
-              f"{len(set(colours))} distinct colours")
-        for v, heads in enumerate(rainbow.digraph.arcs_by_tail()):
-            print(f"  {v} -> " + ", ".join(f"{h} (colour {c})" for h, c in heads))
+        arcs = rainbow.digraph.arcs.tolist()  # rows (tail, head, colour)
+        print(f"seed {seed}: extracted {len(arcs)} arcs, "
+              f"{len({c for _, _, c in arcs})} distinct colours")
+        for v in range(n):
+            print(f"  {v} -> " + ", ".join(f"{h} (colour {c})" for t, h, c in arcs if t == v))
 
 
 if __name__ == "__main__":

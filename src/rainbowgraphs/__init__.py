@@ -24,7 +24,6 @@ from .bounds import (
 )
 from .coupling import CouplingOutcome, chernoff_success_estimate, couple
 from .flow import (
-    ColourAssignment,
     FlowNetwork,
     HallWitness,
     RainbowDOut,

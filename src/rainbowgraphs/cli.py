@@ -59,8 +59,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     if args.permute:
         result = extract_via_permutation(dgr, args.d, substream(args.seed, "extract"))
     else:
-        res = extract_rainbow_dout(dgr, args.d)
-        result = res[1] if res is not None else None
+        result = extract_rainbow_dout(dgr, args.d)
     if result is None:
         lines = ["INFEASIBLE"]
         if dgr.kappa <= HALL_KAPPA_CAP:

@@ -43,11 +43,11 @@ def truncate(
     counts = rng.binomial(dgr.n - 1, split_probability(p_target).p1, size=dgr.n)
     if counts.max(initial=0) > d:
         return counts, None
-    by_tail = dgr.arcs_by_tail()
-    arcs = tuple(
-        (v, h, c) for v in range(dgr.n) for h, c in by_tail[v][: int(counts[v])]
-    )
-    return counts, ColouredDigraph(n=dgr.n, kappa=dgr.kappa, arcs=arcs)
+    # rows grouped by tail, stored order kept; rank = position in the group
+    arcs = dgr.arcs[np.argsort(dgr.arcs[:, 0], kind="stable")]
+    tails = arcs[:, 0]
+    rank = np.arange(len(tails)) - np.searchsorted(tails, tails)
+    return counts, ColouredDigraph(dgr.n, dgr.kappa, arcs[rank < counts[tails]])
 
 
 def couple(
@@ -61,7 +61,7 @@ def couple(
     counts, inner = truncate(d_out, d, p_target, rng)
     return CouplingOutcome(
         d_out=d_out,
-        counts=tuple(int(k) for k in counts),
+        counts=tuple(counts.tolist()),
         inner=inner,
         success=inner is not None,
     )

@@ -15,7 +15,7 @@ from .graphs import ColouredDigraph, ColouredGraph
 def write_graph(g: ColouredGraph | ColouredDigraph, out: TextIO) -> None:
     out.write(f"{g.n} {g.kappa}\n")
     items = g.edges if isinstance(g, ColouredGraph) else g.arcs
-    for u, v, c in items:
+    for u, v, c in items.tolist():
         out.write(f"{u} {v} {c}\n")
 
 
@@ -35,10 +35,10 @@ def _parse(text: str) -> tuple[int, int, list[tuple[int, int, int]]]:
 
 def read_graph(text: str) -> ColouredGraph:
     n, kappa, rows = _parse(text)
-    edges = tuple((min(u, v), max(u, v), c) for u, v, c in rows)
+    edges = [(min(u, v), max(u, v), c) for u, v, c in rows]
     return ColouredGraph(n=n, kappa=kappa, edges=edges)
 
 
 def read_digraph(text: str) -> ColouredDigraph:
     n, kappa, rows = _parse(text)
-    return ColouredDigraph(n=n, kappa=kappa, arcs=tuple(rows))
+    return ColouredDigraph(n=n, kappa=kappa, arcs=rows)

@@ -6,7 +6,12 @@ some arc of the input digraph with that tail carries that colour, and
 vertex->sink arcs have capacity d.  A flow of value d*n decomposes into
 d*n unit paths, each assigning a colour to a vertex; picking one input arc
 per assignment yields a digraph with out-degree d everywhere and globally
-distinct arc colours.
+distinct arc colours.  Where a vertex has several arcs of its assigned
+colour, the decomposition keeps the head of least rank: the head itself
+in `extract_rainbow_dout`, its image under a random per-vertex
+relabelling in `extract_via_permutation`.  The network depends only on
+the (colour, tail) pairs, so the relabelling changes that tie-break and
+nothing else.
 
 The flow value equals d*n exactly when every colour set S satisfies the
 cut condition kappa - |S| + d*|N(S)| >= d*n, where N(S) is the set of
@@ -22,12 +27,12 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
-from .graphs import ColouredDigraph, PermutationFamily, apply_permutations, random_permutation_family
+from .graphs import ColouredDigraph, PermutationFamily, random_permutation_family
 
 HALL_KAPPA_CAP = 22
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowNetwork:
     """Layered colour/vertex network with integer capacities.
 
@@ -39,7 +44,7 @@ class FlowNetwork:
     n: int
     kappa: int
     d: int
-    middle_arcs: tuple[tuple[int, int], ...]  # (colour, vertex) pairs
+    middle_arcs: np.ndarray  # (k, 2) rows (colour, vertex), sorted
 
     @property
     def num_nodes(self) -> int:
@@ -60,24 +65,14 @@ class FlowNetwork:
         return self.kappa + 1 + v
 
     def capacity_matrix(self) -> csr_matrix:
-        rows, cols, caps = [], [], []
-        for x in range(1, self.kappa + 1):
-            rows.append(self.source)
-            cols.append(self.colour_node(x))
-            caps.append(1)
-        inf_cap = self.d * self.n
-        for x, v in self.middle_arcs:
-            rows.append(self.colour_node(x))
-            cols.append(self.vertex_node(v))
-            caps.append(inf_cap)
-        for v in range(self.n):
-            rows.append(self.vertex_node(v))
-            cols.append(self.sink)
-            caps.append(self.d)
-        m = self.num_nodes
-        return csr_matrix(
-            (np.asarray(caps, dtype=np.int64), (rows, cols)), shape=(m, m)
-        )
+        """Source->colour, then colour->vertex, then vertex->sink arcs."""
+        colours, vertices = self.middle_arcs.T
+        n, d, m, k = self.n, self.d, self.num_nodes, len(colours)
+        colour_nodes, vertex_nodes = np.arange(1, self.kappa + 1), self.vertex_node(np.arange(n))
+        rows = np.concatenate([np.zeros_like(colour_nodes), colours, vertex_nodes])
+        cols = np.concatenate([colour_nodes, self.vertex_node(vertices), np.full(n, self.sink)])
+        caps = np.concatenate([np.ones_like(colour_nodes), np.full(k, d * n), np.full(n, d)])
+        return csr_matrix((caps, (rows, cols)), shape=(m, m))
 
 
 @dataclass(frozen=True)
@@ -94,14 +89,6 @@ class HallWitness:
 
 
 @dataclass(frozen=True)
-class ColourAssignment:
-    """Per-vertex tuple of exactly d (colour, head) pairs, colours globally
-    distinct across all vertices."""
-
-    per_vertex: tuple[tuple[tuple[int, int], ...], ...]
-
-
-@dataclass(frozen=True)
 class RainbowDOut:
     """A d-out digraph all of whose arc colours are pairwise distinct."""
 
@@ -110,21 +97,31 @@ class RainbowDOut:
 
     def check(self, source: ColouredDigraph) -> None:
         """Assert the three defining invariants against the source digraph."""
+        arcs = self.digraph.arcs
         degs = self.digraph.out_degrees()
-        if any(deg != self.d for deg in degs):
-            raise AssertionError(f"out-degrees {degs} not all {self.d}")
-        colours = [c for _, _, c in self.digraph.arcs]
-        if len(set(colours)) != len(colours):
+        if (degs != self.d).any():
+            raise AssertionError(f"out-degrees {degs.tolist()} not all {self.d}")
+        if len(np.unique(arcs[:, 2])) != len(arcs):
             raise AssertionError("repeated arc colour")
-        if not self.digraph.arc_set <= source.arc_set:
+        # find each arc's (tail, head) among the source's, then its colour
+        n = max(self.digraph.n, source.n)
+        src = source.arcs[np.argsort(source.arcs[:, 0] * n + source.arcs[:, 1])]
+        pos = np.searchsorted(src[:, 0] * n + src[:, 1], arcs[:, 0] * n + arcs[:, 1])
+        found = pos < len(src)
+        found[found] = (src[pos[found]] == arcs[found]).all(axis=1)
+        if not found.all():
             raise AssertionError("extracted arc not present in source digraph")
 
 
 def build_network(d_in: ColouredDigraph, d: int) -> FlowNetwork:
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    pairs = sorted({(c, t) for t, _, c in d_in.arcs})
-    return FlowNetwork(n=d_in.n, kappa=d_in.kappa, d=d, middle_arcs=tuple(pairs))
+    tails, _, colours = d_in.arcs.T
+    # sort and drop repeats: numpy 2's hash-table np.unique is ~30x slower here
+    keys = np.sort(colours * d_in.n + tails)
+    pairs = np.column_stack(np.divmod(keys[np.diff(keys, prepend=-1) != 0], d_in.n))
+    pairs.flags.writeable = False
+    return FlowNetwork(n=d_in.n, kappa=d_in.kappa, d=d, middle_arcs=pairs)
 
 
 def max_flow(net: FlowNetwork) -> tuple[int, csr_matrix]:
@@ -148,7 +145,7 @@ def check_hall_bruteforce(
         raise ValueError(f"kappa={kappa} exceeds enumeration cap {HALL_KAPPA_CAP}")
     n, target = d_in.n, d * d_in.n
     tail_mask = [0] * (kappa + 1)
-    for t, _, c in d_in.arcs:
+    for t, _, c in d_in.arcs.tolist():
         tail_mask[c] |= 1 << t
     best: tuple[int, int, tuple[int, ...], int] | None = None  # (-def, |S|, S, N)
     neigh = [0] * (1 << kappa)
@@ -171,46 +168,47 @@ def check_hall_bruteforce(
 
 
 def _decompose(
-    net: FlowNetwork, flow: csr_matrix, d_in: ColouredDigraph, d: int
-) -> tuple[ColourAssignment, RainbowDOut]:
+    net: FlowNetwork, flow: csr_matrix, d_in: ColouredDigraph, d: int, head_rank: np.ndarray
+) -> RainbowDOut:
     # Source caps of 1 force every middle arc's flow into {0, 1}, so each
-    # unit path is just a saturated (colour, vertex) middle arc.
-    heads_by: dict[tuple[int, int], list[int]] = {}
-    for t, h, c in d_in.arcs:
-        heads_by.setdefault((t, c), []).append(h)
-    assigned: list[list[tuple[int, int]]] = [[] for _ in range(d_in.n)]
-    # Positive entries in colour rows are the flows on middle arcs (the
-    # reverse entries of source arcs are negative).
-    entries = flow.tocoo()
-    rows, first = entries.row, net.colour_node(1)
-    middle = (entries.data > 0) & (rows >= first) & (rows < net.vertex_node(0))
-    colours = (rows[middle] - first + 1).tolist()
-    for x, v in zip(colours, (entries.col[middle] - net.vertex_node(0)).tolist()):
-        assigned[v].append((x, min(heads_by[(v, x)])))
-    per_vertex = tuple(tuple(sorted(pairs)) for pairs in assigned)
-    arcs = tuple(
-        (v, h, x) for v in range(d_in.n) for x, h in per_vertex[v]
-    )
-    out = RainbowDOut(
-        digraph=ColouredDigraph(n=d_in.n, kappa=d_in.kappa, arcs=arcs), d=d
-    )
-    return ColourAssignment(per_vertex=per_vertex), out
+    # unit path is just a saturated (colour, vertex) middle arc.  Positive
+    # entries in colour rows are the flows on middle arcs (the reverse
+    # entries of source arcs are negative).
+    n, ptr, first, last = d_in.n, flow.indptr, net.colour_node(1), net.vertex_node(0)
+    span = slice(ptr[first], ptr[last])
+    row_colours = np.repeat(np.arange(1, net.kappa + 1), np.diff(ptr[first : last + 1]))
+    positive = flow.data[span] > 0
+    # colour * n + tail, as in build_network
+    saturated = np.sort(row_colours[positive] * n + flow.indices[span][positive] - last)
+    tails, _, colours = d_in.arcs.T
+    keys = colours * n + tails
+    # a search position past the end wraps to 0, where the key cannot match
+    found = saturated[np.searchsorted(saturated, keys) % len(saturated)]
+    used = np.flatnonzero(found == keys)
+    # Sorting by (tail, colour, head rank) puts each assigned pair's arc of
+    # least head rank first; the output keeps that arc, tail by tail and
+    # colour by colour.
+    used = used[np.lexsort((head_rank[used], colours[used], tails[used]))]
+    used = used[np.diff(keys[used], prepend=-1) != 0]
+    return RainbowDOut(ColouredDigraph(n, d_in.kappa, d_in.arcs[used]), d)
 
 
-def extract_rainbow_dout(
-    d_in: ColouredDigraph, d: int
-) -> tuple[ColourAssignment, RainbowDOut] | None:
+def _extract(d_in: ColouredDigraph, d: int, head_rank: np.ndarray) -> RainbowDOut | None:
+    net = build_network(d_in, d)
+    value, flow = max_flow(net)
+    if value < d * d_in.n:
+        return None
+    return _decompose(net, flow, d_in, d, head_rank)
+
+
+def extract_rainbow_dout(d_in: ColouredDigraph, d: int) -> RainbowDOut | None:
     """Extract a rainbow d-out subgraph, or None when the max-flow value
     falls short of d*n.
 
     Where several heads carry the assigned colour from a vertex, the
     smallest head is chosen; `extract_via_permutation` removes that bias.
     """
-    net = build_network(d_in, d)
-    value, flow = max_flow(net)
-    if value < d * d_in.n:
-        return None
-    return _decompose(net, flow, d_in, d)
+    return _extract(d_in, d, d_in.arcs[:, 1])
 
 
 def extract_via_permutation(
@@ -219,14 +217,16 @@ def extract_via_permutation(
     rng: np.random.Generator,
     family: PermutationFamily | None = None,
 ) -> RainbowDOut | None:
-    """Extraction preceded by a per-vertex head relabelling and followed by
-    its inverse, so the deterministic tie-break of the decomposition does
-    not bias which heads appear in the output."""
+    """Extraction whose tie-break keeps, among a vertex v's heads of the
+    assigned colour, the head h of least pi_v(h) under a uniform random
+    per-vertex relabelling pi, so the decomposition's deterministic
+    tie-break does not bias which heads appear in the output.
+
+    This is the extraction of the relabelled digraph mapped back through
+    pi^{-1}: the network, and so the flow, does not depend on the heads.
+    """
     fam = random_permutation_family(d_in.n, rng) if family is None else family
-    transformed = apply_permutations(d_in, fam)
-    res = extract_rainbow_dout(transformed, d)
-    if res is None:
-        return None
-    _, rainbow = res
-    restored = apply_permutations(rainbow.digraph, fam, invert=True)
-    return RainbowDOut(digraph=restored, d=d)
+    if fam.n != d_in.n:
+        raise ValueError(f"family covers {fam.n} vertices, digraph has {d_in.n}")
+    tails, heads, _ = d_in.arcs.T
+    return _extract(d_in, d, fam.perms[tails, heads])

@@ -5,93 +5,95 @@ colour 0 marks an uncoloured arc (used by d-out samples before colouring).
 Edge probability p splits into an arc probability p1 with
 (1 - p1)**2 = 1 - p, so that sampling each ordered pair with probability
 p1 and forgetting orientation reproduces the undirected model.
+
+Every coloured graph is one read-only (m, 3) int64 array of rows:
+(tail, head, colour) for a digraph, (u, v, colour) with u < v for a
+graph, validated once when the graph is built.  Samplers keep their
+per-row draws, so a seed gives the same graph whatever the storage.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 UNCOLOURED = 0
 
 
-@dataclass(frozen=True)
-class ColouredGraph:
-    """Undirected edge-coloured graph: edges are (u, v, colour) with u < v."""
+def _frozen_rows(rows, n: int, kappa: int, undirected: bool) -> np.ndarray:
+    """Rows (u, v, colour) as a read-only (m, 3) int64 copy, after checking
+    n >= 1, endpoints in [0, n), no self-loop (u < v for an undirected
+    graph), no repeated pair and colour 0 or in [1, kappa]."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    a = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    u, v = a[:, 0], a[:, 1]
+    # negative entries wrap to huge unsigned values, so one comparison
+    # bounds every column from both sides
+    outside = a.view(np.uint64) >= np.array([n, n, kappa + 1], dtype=np.uint64)
+    loops = u >= v if undirected else u == v
+    keys = u * n + v
+    keys.sort()
+    repeats = keys[1:] == keys[:-1]
+    kind = "edge" if undirected else "arc"
+    if np.count_nonzero(outside) or np.count_nonzero(loops):
+        row = a[np.argmax(outside.any(axis=1) | loops)].tolist()
+        raise ValueError(f"bad {kind} {tuple(row)} for n={n}, kappa={kappa}")
+    if np.count_nonzero(repeats):
+        key = keys[np.argmax(repeats)]
+        raise ValueError(f"duplicate {kind} ({key // n}, {key % n})")
+    a.flags.writeable = False
+    return a
+
+
+class _ArrayFields:
+    """Value equality and hashing for a frozen dataclass with array fields."""
+
+    def _values(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(map(np.array_equal, self._values(), other._values()))
+
+    def __hash__(self) -> int:
+        return hash(tuple(np.asarray(x).tobytes() for x in self._values()))
+
+
+@dataclass(frozen=True, eq=False)
+class ColouredGraph(_ArrayFields):
+    """Undirected edge-coloured graph: edges is a read-only (m, 3) int64
+    array of rows (u, v, colour) with u < v."""
 
     n: int
     kappa: int
-    edges: tuple[tuple[int, int, int], ...]
+    edges: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
-        seen = set()
-        for u, v, c in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"bad edge endpoints ({u}, {v}) for n={self.n}")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            if not (c == UNCOLOURED or 1 <= c <= self.kappa):
-                raise ValueError(f"colour {c} outside [1, {self.kappa}]")
-            seen.add((u, v))
-
-    @property
-    def edge_set(self) -> frozenset[tuple[int, int, int]]:
-        return frozenset(self.edges)
-
-    @property
-    def pair_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset((u, v) for u, v, _ in self.edges)
+        object.__setattr__(self, "edges", _frozen_rows(self.edges, self.n, self.kappa, True))
 
 
-@dataclass(frozen=True)
-class ColouredDigraph:
-    """Directed edge-coloured graph: arcs are (tail, head, colour).
+@dataclass(frozen=True, eq=False)
+class ColouredDigraph(_ArrayFields):
+    """Directed edge-coloured graph: arcs is a read-only (m, 3) int64
+    array of rows (tail, head, colour).
 
-    Arcs are stored as a tuple so samplers can preserve a meaningful order
-    (d-out samples keep each vertex's choices in choice order).
+    Row order is kept, so samplers can preserve a meaningful order (d-out
+    samples keep each vertex's choices in choice order).
     """
 
     n: int
     kappa: int
-    arcs: tuple[tuple[int, int, int], ...]
+    arcs: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
-        seen = set()
-        for t, h, c in self.arcs:
-            if t == h:
-                raise ValueError(f"self-loop at vertex {t}")
-            if not (0 <= t < self.n and 0 <= h < self.n):
-                raise ValueError(f"bad arc ({t}, {h}) for n={self.n}")
-            if (t, h) in seen:
-                raise ValueError(f"duplicate arc ({t}, {h})")
-            if not (c == UNCOLOURED or 1 <= c <= self.kappa):
-                raise ValueError(f"colour {c} outside [1, {self.kappa}]")
-            seen.add((t, h))
+        object.__setattr__(self, "arcs", _frozen_rows(self.arcs, self.n, self.kappa, False))
 
-    @property
-    def arc_set(self) -> frozenset[tuple[int, int, int]]:
-        return frozenset(self.arcs)
-
-    def out_degrees(self) -> list[int]:
-        degs = [0] * self.n
-        for t, _, _ in self.arcs:
-            degs[t] += 1
-        return degs
-
-    def arcs_by_tail(self) -> list[list[tuple[int, int]]]:
-        """Per-tail list of (head, colour), in stored arc order."""
-        out: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for t, h, c in self.arcs:
-            out[t].append((h, c))
-        return out
+    def out_degrees(self) -> np.ndarray:
+        return np.bincount(self.arcs[:, 0], minlength=self.n)
 
 
 @dataclass(frozen=True)
@@ -106,35 +108,35 @@ class ProbabilitySplit:
             raise ValueError(f"inconsistent split p={self.p}, p1={self.p1}")
 
 
-@dataclass(frozen=True)
-class PermutationFamily:
+@dataclass(frozen=True, eq=False)
+class PermutationFamily(_ArrayFields):
     """One bijection pi_v of [n] \\ {v} per vertex v.
 
-    perms[v] has length n with perms[v][v] == v (a fixed point standing in
-    for the excluded element); all other entries are a permutation of the
-    remaining vertices.
+    perms is a read-only (n, n) int64 array whose row v has perms[v, v] == v
+    (a fixed point standing in for the excluded element); the other
+    entries of the row are a permutation of the remaining vertices.
     """
 
-    perms: tuple[tuple[int, ...], ...]
+    perms: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.perms)
-        for v, pi in enumerate(self.perms):
-            if len(pi) != n or pi[v] != v or sorted(pi) != list(range(n)):
-                raise ValueError(f"perms[{v}] is not a bijection fixing {v}")
+        perms = np.array(self.perms, dtype=np.int64)
+        ids = np.arange(len(perms))
+        if perms.shape != (len(ids), len(ids)):
+            raise ValueError(f"perms must be an (n, n) array, got shape {perms.shape}")
+        bad = (np.sort(perms, axis=1) != ids).any(axis=1) | (perms[ids, ids] != ids)
+        if bad.any():
+            v = int(np.argmax(bad))
+            raise ValueError(f"perms[{v}] is not a bijection fixing {v}")
+        perms.flags.writeable = False
+        object.__setattr__(self, "perms", perms)
 
     @property
     def n(self) -> int:
         return len(self.perms)
 
     def inverse(self) -> "PermutationFamily":
-        inv = []
-        for pi in self.perms:
-            ipi = [0] * len(pi)
-            for w, x in enumerate(pi):
-                ipi[x] = w
-            inv.append(tuple(ipi))
-        return PermutationFamily(tuple(inv))
+        return PermutationFamily(np.argsort(self.perms, axis=1))
 
 
 def split_probability(p: float) -> ProbabilitySplit:
@@ -153,6 +155,18 @@ def _check_colour_params(kappa: int) -> None:
         raise ValueError(f"need kappa >= 1, got {kappa}")
 
 
+_NO_ROWS = np.zeros(0, dtype=np.int64)
+
+
+def _stacked(heads: list[np.ndarray], colours: list[np.ndarray]) -> np.ndarray:
+    """Rows (i, h, colour) for the heads h of heads[i] and their colours,
+    row block by row block, with one concatenate per column."""
+    tails = np.repeat(np.arange(len(heads)), [len(h) for h in heads])
+    return np.column_stack(
+        [tails, np.concatenate([_NO_ROWS, *heads]), np.concatenate([_NO_ROWS, *colours])]
+    )
+
+
 def sample_coloured_graph(
     n: int, p: float, kappa: int, rng: np.random.Generator
 ) -> ColouredGraph:
@@ -161,14 +175,12 @@ def sample_coloured_graph(
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     _check_colour_params(kappa)
-    edges = []
+    heads, colours = [], []
     for u in range(n - 1):
-        mask = rng.random(n - 1 - u) < p
-        heads = np.nonzero(mask)[0] + u + 1
-        if len(heads):
-            colours = rng.integers(1, kappa + 1, size=len(heads))
-            edges.extend((u, int(v), int(c)) for v, c in zip(heads, colours))
-    return ColouredGraph(n=n, kappa=kappa, edges=tuple(edges))
+        heads.append(np.flatnonzero(rng.random(n - 1 - u) < p) + u + 1)
+        if len(heads[-1]):
+            colours.append(rng.integers(1, kappa + 1, size=len(heads[-1])))
+    return ColouredGraph(n=n, kappa=kappa, edges=_stacked(heads, colours))
 
 
 def sample_coloured_digraph(
@@ -179,15 +191,14 @@ def sample_coloured_digraph(
     if not 0.0 <= p1 <= 1.0:
         raise ValueError(f"p1 must lie in [0, 1], got {p1}")
     _check_colour_params(kappa)
-    arcs = []
+    heads, colours = [], []
     for t in range(n):
         mask = rng.random(n) < p1
         mask[t] = False
-        heads = np.nonzero(mask)[0]
-        if len(heads):
-            colours = rng.integers(1, kappa + 1, size=len(heads))
-            arcs.extend((t, int(h), int(c)) for h, c in zip(heads, colours))
-    return ColouredDigraph(n=n, kappa=kappa, arcs=tuple(arcs))
+        heads.append(np.flatnonzero(mask))
+        if len(heads[-1]):
+            colours.append(rng.integers(1, kappa + 1, size=len(heads[-1])))
+    return ColouredDigraph(n=n, kappa=kappa, arcs=_stacked(heads, colours))
 
 
 def coalesce_orientation(
@@ -195,17 +206,17 @@ def coalesce_orientation(
 ) -> ColouredGraph:
     """Forget orientation.  Where both (u,v) and (v,u) are present the edge
     colour is a uniform choice between the two arc colours."""
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    for t, h, c in d.arcs:
-        key = (t, h) if t < h else (h, t)
-        by_pair.setdefault(key, []).append(c)
-    edges = []
-    for (u, v), colours in sorted(by_pair.items()):
-        if len(colours) == 2 and rng.random() < 0.5:
-            edges.append((u, v, colours[1]))
-        else:
-            edges.append((u, v, colours[0]))
-    return ColouredGraph(n=d.n, kappa=d.kappa, edges=tuple(edges))
+    t, h, c = d.arcs.T
+    u, v = np.minimum(t, h), np.maximum(t, h)
+    # a stable sort on the pair keeps each pair's arcs in stored order
+    order = np.argsort(u * d.n + v, kind="stable")
+    pick = np.flatnonzero(np.diff((u * d.n + v)[order], prepend=-1))  # pairs' first arcs
+    twins = np.diff(pick, append=len(order)) == 2
+    # one uniform per pair with two arcs, in pair order: below 1/2 takes
+    # the colour of the pair's second stored arc
+    pick[twins] += rng.random(np.count_nonzero(twins)) < 0.5
+    rows = order[pick]
+    return ColouredGraph(d.n, d.kappa, np.column_stack([u[rows], v[rows], c[rows]]))
 
 
 def sample_d_out(n: int, d: int, rng: np.random.Generator) -> ColouredDigraph:
@@ -216,44 +227,37 @@ def sample_d_out(n: int, d: int, rng: np.random.Generator) -> ColouredDigraph:
         raise ValueError(f"need 1 <= d <= n-1, got d={d}, n={n}")
     # A random key argsort per row is a uniform random ordering of the
     # n-1 candidate heads; the first d entries are a uniform d-arrangement.
-    order = np.argsort(rng.random((n, n - 1)), axis=1)[:, :d]
-    arcs = []
-    for v in range(n):
-        for idx in order[v]:
-            h = int(idx) if idx < v else int(idx) + 1
-            arcs.append((v, h, UNCOLOURED))
-    return ColouredDigraph(n=n, kappa=0, arcs=tuple(arcs))
+    heads = _other_vertex(np.argsort(rng.random((n, n - 1)), axis=1)[:, :d]).ravel()
+    arcs = np.column_stack([np.repeat(np.arange(n), d), heads, np.full(n * d, UNCOLOURED)])
+    return ColouredDigraph(n=n, kappa=0, arcs=arcs)
+
+
+def _other_vertex(idx: np.ndarray) -> np.ndarray:
+    """The idx[v, j]-th smallest vertex other than v, for every entry."""
+    return idx + (idx >= np.arange(len(idx))[:, None])
 
 
 def random_permutation_family(n: int, rng: np.random.Generator) -> PermutationFamily:
     """Independent uniform permutations pi_v of [n] \\ {v}."""
     # one argsort per vertex row gives a uniform permutation of its n-1
-    # candidate images
-    order = np.argsort(rng.random((n, n - 1)), axis=1)
-    perms = []
-    for v in range(n):
-        others = [w for w in range(n) if w != v]
-        pi = [0] * n
-        pi[v] = v
-        for w, idx in zip(others, order[v]):
-            pi[w] = others[idx]
-        perms.append(tuple(pi))
-    return PermutationFamily(tuple(perms))
+    # candidate images, written row by row into the off-diagonal entries
+    images = _other_vertex(np.argsort(rng.random((n, n - 1)), axis=1))
+    perms = np.tile(np.arange(n), (n, 1))
+    perms[~np.eye(n, dtype=bool)] = images.ravel()
+    return PermutationFamily(perms)
 
 
 def identity_permutation_family(n: int) -> PermutationFamily:
-    return PermutationFamily(tuple(tuple(range(n)) for _ in range(n)))
+    return PermutationFamily(np.tile(np.arange(n), (n, 1)))
 
 
-def apply_permutations(
-    d: ColouredDigraph, f: PermutationFamily, invert: bool = False
-) -> ColouredDigraph:
-    """Map every arc (v, w, c) to (v, pi_v(w), c), or pi_v^{-1} if invert.
+def apply_permutations(d: ColouredDigraph, f: PermutationFamily) -> ColouredDigraph:
+    """Map every arc (v, w, c) to (v, pi_v(w), c).
 
-    Colours and out-degrees are unchanged; arc order is preserved.
+    Colours and out-degrees are unchanged; arc order is preserved.  Apply
+    `f.inverse()` to map back.
     """
     if f.n != d.n:
         raise ValueError(f"family covers {f.n} vertices, digraph has {d.n}")
-    fam = f.inverse() if invert else f
-    arcs = tuple((t, fam.perms[t][h], c) for t, h, c in d.arcs)
-    return ColouredDigraph(n=d.n, kappa=d.kappa, arcs=arcs)
+    t, h, c = d.arcs.T
+    return ColouredDigraph(d.n, d.kappa, np.column_stack([t, f.perms[t, h], c]))

@@ -181,15 +181,13 @@ def _pipeline_trial(config: ExperimentConfig, t: int) -> TrialRecord:
     if rainbow is None:
         return record("extraction-failed")
     # The deterministic flow decomposition imposes an arc order; a fresh
-    # per-vertex shuffle restores exchangeability before truncation.
+    # per-vertex shuffle restores exchangeability before truncation.  The
+    # extraction's rows come grouped by tail, d per tail.
     shuffle_rng = substream(config.seed, t, "pipe-shuffle")
-    by_tail = rainbow.digraph.arcs_by_tail()
-    arcs = []
+    arcs = rainbow.digraph.arcs.copy()
     for v in range(n):
-        row = list(by_tail[v])
-        shuffle_rng.shuffle(row)
-        arcs.extend((v, h, c) for h, c in row)
-    shuffled = ColouredDigraph(n=n, kappa=rainbow.digraph.kappa, arcs=tuple(arcs))
+        shuffle_rng.shuffle(arcs[v * d : (v + 1) * d])
+    shuffled = ColouredDigraph(n=n, kappa=rainbow.digraph.kappa, arcs=arcs)
     counts, inner = truncate(
         shuffled, d, (2.0 - config.eps) * d / n,
         substream(config.seed, t, "pipe-truncate"),

@@ -34,7 +34,7 @@ def verify_embedding(
         return False
     if not all(0 <= v < g.n for v in emb.vertex_map):
         return False
-    lookup = {(u, v): c for u, v, c in g.edges}
+    lookup = {(u, v): c for u, v, c in g.edges.tolist()}
     images = dict(emb.edge_images)
     if set(images) != set(h.edges):
         return False
@@ -53,7 +53,7 @@ def verify_embedding(
 def _embedding_from_map(
     g: ColouredGraph, h: TargetGraph, vmap: list[int]
 ) -> RainbowEmbedding:
-    lookup = {(u, v): c for u, v, c in g.edges}
+    lookup = {(u, v): c for u, v, c in g.edges.tolist()}
     images = []
     for a, b in h.edges:
         u, v = sorted((vmap[a], vmap[b]))
@@ -76,7 +76,7 @@ def find_rainbow_copy_exact(
         raise ValueError(f"n={g.n} exceeds search cap {EXACT_SEARCH_CAP}")
     n = g.n
     colour_of = {}
-    for u, v, c in g.edges:
+    for u, v, c in g.edges.tolist():
         colour_of[(u, v)] = c
         colour_of[(v, u)] = c
     h_adj = [[] for _ in range(n)]
@@ -162,7 +162,7 @@ def max_rainbow_forest(g: ColouredGraph) -> list[int]:
     path in the exchange digraph from the edges addable to the forest to
     the edges addable colour-wise, and flip the path.
     """
-    edges = g.edges
+    edges = g.edges.tolist()
     m = len(edges)
     in_set = [False] * m
 
@@ -226,10 +226,8 @@ def find_rainbow_spanning_tree(g: ColouredGraph) -> RainbowEmbedding | None:
     chosen = max_rainbow_forest(g)
     if len(chosen) != g.n - 1:
         return None
-    images = []
-    for k, i in enumerate(sorted(chosen)):
-        u, v, c = g.edges[i]
-        images.append(((min(u, v), max(u, v)), (u, v, c)))
+    edges = g.edges.tolist()  # rows have u < v: each edge is its own target pair
+    images = [((u, v), (u, v, c)) for u, v, c in (edges[i] for i in sorted(chosen))]
     # the found tree is its own target: identity vertex map
     return RainbowEmbedding(
         vertex_map=tuple(range(g.n)),

@@ -1,18 +1,4 @@
-import subprocess
-import sys
-
-import pytest
-
 from rainbowgraphs.cli import main
-
-
-def run_cli(*args):
-    proc = subprocess.run(
-        [sys.executable, "-m", "rainbowgraphs.cli", *args],
-        capture_output=True,
-        text=True,
-    )
-    return proc
 
 
 class TestGenExtract:
@@ -77,7 +63,7 @@ class TestOtherCommands:
 
 
 class TestReproducibility:
-    def test_trial_byte_identical(self, tmp_path):
+    def test_trial_byte_identical(self, run_cli):
         args = ["trial", "--mode", "lemma4", "--n", "30", "--d", "12",
                 "--p", "0.3", "--eps", "0.5", "--trials", "20", "--seed", "11"]
         a = run_cli(*args)
@@ -85,7 +71,7 @@ class TestReproducibility:
         assert a.returncode == 0 and b.returncode == 0
         assert a.stdout == b.stdout
 
-    def test_sweep_byte_identical(self, tmp_path):
+    def test_sweep_byte_identical(self, run_cli):
         args = ["sweep", "--mode", "lemma4", "--axis", "d",
                 "--grid", "8", "12", "16", "--n", "30", "--p", "0.3",
                 "--eps", "0.5", "--trials", "15", "--seed", "12"]

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.stats import binom, chisquare
 
-from rainbowgraphs.coupling import chernoff_success_estimate, couple, regime_out_degree
-from rainbowgraphs.graphs import split_probability
+from rainbowgraphs.coupling import chernoff_success_estimate, couple, regime_out_degree, truncate
+from rainbowgraphs.graphs import ColouredDigraph, sample_d_out, split_probability
 from rainbowgraphs.rng import substream
 
 
@@ -14,14 +14,15 @@ class TestCouple:
     def test_p_zero_empty_inner(self):
         out = couple(10, 3, 0.0, 0.5, substream(0))
         assert out.success
-        assert out.inner.arcs == ()
+        assert out.inner.arcs.shape == (0, 3)
         assert out.counts == (0,) * 10
 
     def test_containment_every_trial(self):
         for t in range(200):
             out = couple(12, 4, 0.3, 0.5, substream(1, t))
             if out.success:
-                assert out.inner.arc_set <= out.d_out.arc_set
+                d_out = {tuple(a) for a in out.d_out.arcs.tolist()}
+                assert all(tuple(a) in d_out for a in out.inner.arcs.tolist())
                 for v, k in enumerate(out.counts):
                     assert sum(1 for a in out.inner.arcs if a[0] == v) == k
             else:
@@ -75,7 +76,8 @@ class TestCouple:
         counts = np.zeros(10)
         for t in range(100000):
             out = couple(6, 3, 0.0, 0.5, substream(4, t))
-            first_two = frozenset(h for h, _ in out.d_out.arcs_by_tail()[0][:2])
+            arcs = out.d_out.arcs
+            first_two = frozenset(arcs[arcs[:, 0] == 0][:2, 1].tolist())
             counts[cats[first_two]] += 1
         _, pvalue = chisquare(counts)
         assert pvalue > 0.001
@@ -121,3 +123,21 @@ class TestRegimeOutDegree:
     def test_validation(self):
         with pytest.raises(ValueError):
             regime_out_degree(1, 0.5)
+
+
+def test_truncate_matches_loop():
+    # rows in a random order, so the routine must group them by tail itself
+    n, d, p = 12, 4, 0.3
+    for t in range(60):
+        d_out = sample_d_out(n, d, substream(55, t))
+        rows = d_out.arcs[substream(56, t).permutation(len(d_out.arcs))].tolist()
+        counts, inner = truncate(ColouredDigraph(n, 0, rows), d, p, substream(57, t))
+        want = substream(57, t).binomial(n - 1, split_probability(p).p1, size=n)
+        assert counts.tolist() == want.tolist()
+        if inner is None:
+            assert counts.max() > d
+            continue
+        by_tail: list[list[list[int]]] = [[] for _ in range(n)]
+        for arc in rows:
+            by_tail[arc[0]].append(arc)
+        assert inner.arcs.tolist() == [a for v in range(n) for a in by_tail[v][: counts[v]]]

@@ -3,6 +3,7 @@ import pytest
 from scipy.stats import chisquare
 
 from rainbowgraphs.flow import (
+    RainbowDOut,
     build_network,
     check_hall_bruteforce,
     extract_rainbow_dout,
@@ -11,7 +12,9 @@ from rainbowgraphs.flow import (
 )
 from rainbowgraphs.graphs import (
     ColouredDigraph,
+    apply_permutations,
     identity_permutation_family,
+    random_permutation_family,
     sample_coloured_digraph,
 )
 from rainbowgraphs.rng import substream
@@ -26,7 +29,7 @@ class TestBuildNetwork:
         d_in = ColouredDigraph(n=2, kappa=3, arcs=((0, 1, 3),))
         net = build_network(d_in, 1)
         assert net.num_nodes == 3 + 2 + 2
-        assert net.middle_arcs == ((3, 0),)
+        assert net.middle_arcs.tolist() == [[3, 0]]
         caps = net.capacity_matrix()
         assert caps[net.source, net.colour_node(1)] == 1
         assert caps[net.colour_node(3), net.vertex_node(0)] == 2  # d*n surrogate
@@ -35,7 +38,7 @@ class TestBuildNetwork:
 
     def test_empty_digraph(self):
         net = build_network(ColouredDigraph(n=3, kappa=2, arcs=()), 1)
-        assert net.middle_arcs == ()
+        assert net.middle_arcs.shape == (0, 2)
         assert max_flow(net)[0] == 0
 
     def test_middle_arc_count_matches_distinct_pairs(self):
@@ -43,7 +46,8 @@ class TestBuildNetwork:
             d_in = random_instance(seed, 7, 6, 0.5)
             net = build_network(d_in, 2)
             expected = {(c, t) for t, _, c in d_in.arcs}
-            assert set(net.middle_arcs) == expected
+            assert len(net.middle_arcs) == len(expected)
+            assert {(c, t) for c, t in net.middle_arcs.tolist()} == expected
 
 
 class TestMaxFlow:
@@ -137,9 +141,9 @@ class TestHallBruteforce:
 class TestExtraction:
     def test_two_cycle(self):
         d_in = ColouredDigraph(n=2, kappa=2, arcs=((0, 1, 1), (1, 0, 2)))
-        assignment, rainbow = extract_rainbow_dout(d_in, 1)
+        rainbow = extract_rainbow_dout(d_in, 1)
         rainbow.check(d_in)
-        assert sorted(len(v) for v in assignment.per_vertex) == [1, 1]
+        assert rainbow.digraph.arcs.tolist() == [[0, 1, 1], [1, 0, 2]]
 
     def test_empty_absent(self):
         assert extract_rainbow_dout(ColouredDigraph(n=2, kappa=2, arcs=()), 1) is None
@@ -151,12 +155,12 @@ class TestExtraction:
             res = extract_rainbow_dout(d_in, 2)
             if res is None:
                 continue
-            assignment, rainbow = res
-            rainbow.check(d_in)
-            for v, pairs in enumerate(assignment.per_vertex):
-                assert len(pairs) == 2
-                for x, h in pairs:
-                    assert (v, h, x) in d_in.arc_set
+            res.check(d_in)
+            assert res.digraph.out_degrees().tolist() == [2] * 8
+            source = d_in.arcs.tolist()
+            for t, h, c in res.digraph.arcs.tolist():
+                # the smallest head among the tail's arcs of that colour
+                assert h == min(b for a, b, x in source if (a, x) == (t, c))
             successes += 1
         assert successes > 200
 
@@ -166,8 +170,7 @@ class TestExtraction:
             res = extract_rainbow_dout(d_in, 2)
             if res is None:
                 continue
-            assignment, _ = res
-            colours = [x for pairs in assignment.per_vertex for x, _ in pairs]
+            colours = res.digraph.arcs[:, 2].tolist()
             assert len(set(colours)) == len(colours)
 
 
@@ -179,7 +182,22 @@ class TestExtractViaPermutation:
             d_in, 1, substream(0), family=identity_permutation_family(6)
         )
         assert plain is not None and via is not None
-        assert via.digraph == plain[1].digraph
+        assert via.digraph == plain.digraph
+
+    def test_matches_relabel_extract_and_map_back(self):
+        # the round trip the head ranking replaces: relabel every head by
+        # pi, extract, then map the heads back through pi^-1
+        successes = 0
+        for seed in range(100):
+            d_in = random_instance(seed, 7, 20, 0.8)
+            f = random_permutation_family(7, substream(seed, "f"))
+            via = extract_via_permutation(d_in, 2, substream(0), family=f)
+            plain = extract_rainbow_dout(apply_permutations(d_in, f), 2)
+            assert (via is None) == (plain is None)
+            if via is not None:
+                assert via.digraph == apply_permutations(plain.digraph, f.inverse())
+                successes += 1
+        assert successes > 50
 
     def test_output_subgraph_of_input(self):
         for seed in range(50):
@@ -195,14 +213,13 @@ class TestExtractViaPermutation:
         d_in = sample_coloured_digraph(5, 1.0, 5, substream(3))
         assert extract_rainbow_dout(d_in, 1) is not None
         trials = 20000
-        plain_counts: dict[tuple[int, int], int] = {}
+        # plain extraction is deterministic: one run counted trials times
+        plain = extract_rainbow_dout(d_in, 1)
+        plain_counts = {(v, h): trials for v, h, _ in plain.digraph.arcs.tolist()}
         perm_counts: dict[tuple[int, int], int] = {}
         for t in range(trials):
-            _, plain = extract_rainbow_dout(d_in, 1)
-            for v, h, _ in plain.digraph.arcs:
-                plain_counts[(v, h)] = plain_counts.get((v, h), 0) + 1
             via = extract_via_permutation(d_in, 1, substream(3, t, "perm"))
-            for v, h, _ in via.digraph.arcs:
+            for v, h, _ in via.digraph.arcs.tolist():
                 perm_counts[(v, h)] = perm_counts.get((v, h), 0) + 1
 
         cats: dict[int, set[int]] = {}
@@ -224,3 +241,28 @@ class TestExtractViaPermutation:
         assert chisq_against_uniform(perm_counts) < chisq_against_uniform(plain_counts)
         multi = [v for v in perm_counts if v not in plain_counts]
         assert multi, "instance should have at least one multi-head colour class"
+
+
+class TestRainbowDOutCheck:
+    def test_rejects_arc_missing_from_source(self):
+        source = ColouredDigraph(n=3, kappa=3, arcs=((0, 1, 1), (1, 2, 2), (2, 0, 3)))
+        RainbowDOut(source, 1).check(source)
+        other = ColouredDigraph(n=3, kappa=3, arcs=((0, 2, 1), (1, 2, 2), (2, 0, 3)))
+        with pytest.raises(AssertionError, match="not present"):
+            RainbowDOut(other, 1).check(source)
+
+    def test_rejects_arc_whose_colour_differs_in_the_source(self):
+        source = ColouredDigraph(n=3, kappa=4, arcs=((0, 1, 1), (1, 2, 2), (2, 0, 3)))
+        recoloured = ColouredDigraph(n=3, kappa=4, arcs=((0, 1, 4), (1, 2, 2), (2, 0, 3)))
+        with pytest.raises(AssertionError, match="not present"):
+            RainbowDOut(recoloured, 1).check(source)
+
+    def test_containment_key_does_not_wrap_at_huge_colours(self):
+        # With kappa + 1 = 2**62 a combined key (t*n + h) * (kappa + 1) + c
+        # wraps modulo 2**64, and (1, 2, c) gets the key of (0, 1, c); the
+        # check must still see that (0, 1) is not a source arc.
+        kappa = 2**62 - 1
+        source = ColouredDigraph(n=3, kappa=kappa, arcs=((1, 2, 7), (1, 0, 8), (2, 0, 9)))
+        rainbow = ColouredDigraph(n=3, kappa=kappa, arcs=((0, 1, 7), (1, 0, 8), (2, 0, 9)))
+        with pytest.raises(AssertionError, match="not present"):
+            RainbowDOut(rainbow, 1).check(source)

@@ -132,13 +132,13 @@ class TestFindRainbowCopyExact:
             missing = [
                 (u, v)
                 for u, v in combinations(range(6), 2)
-                if (u, v) not in g.pair_set
+                if (u, v) not in {(a, b) for a, b, _ in g.edges.tolist()}
             ]
             if not missing:
                 continue
             u, v = missing[int(rng.integers(len(missing)))]
             g2 = ColouredGraph(
-                n=6, kappa=g.kappa + 1, edges=g.edges + ((u, v, g.kappa + 1),)
+                n=6, kappa=g.kappa + 1, edges=[*g.edges.tolist(), (u, v, g.kappa + 1)]
             )
             after = find_rainbow_copy_exact(g2, h) is not None
             assert after >= before
