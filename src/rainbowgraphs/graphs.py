@@ -28,7 +28,7 @@ def _frozen_rows(rows, n: int, kappa: int, undirected: bool) -> np.ndarray:
     graph), no repeated pair and colour 0 or in [1, kappa]."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    a = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    a = np.array(rows, dtype=np.int64).reshape(len(rows), 3)  # raises unless m triples
     u, v = a[:, 0], a[:, 1]
     # negative entries wrap to huge unsigned values, so one comparison
     # bounds every column from both sides

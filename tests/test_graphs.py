@@ -211,6 +211,11 @@ class TestValidation:
             ColouredDigraph(n=3, kappa=2, arcs=((0, 1, -1),))
         assert ColouredDigraph(n=3, kappa=2, arcs=((0, 1, 0),)).arcs.tolist() == [[0, 1, 0]]
 
+    @pytest.mark.parametrize("rows", [[(0, 1), (1, 2), (2, 0)], [0, 1, 1], [(0, 1, 1, 1)]])
+    def test_rejects_rows_that_are_not_triples(self, rows):
+        with pytest.raises(ValueError):
+            ColouredDigraph(n=3, kappa=1, arcs=rows)
+
     def test_rejects_empty_vertex_set(self):
         with pytest.raises(ValueError):
             ColouredDigraph(n=0, kappa=1, arcs=())
