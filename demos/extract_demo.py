@@ -4,14 +4,14 @@ The extraction is a max-flow computation; when it fails, the dual
 certificate is a deficient colour set, which we print instead.
 """
 
-from rainbowgraphs.flow import check_hall_bruteforce, extract_via_permutation
+from rainbowgraphs.flow import extract_via_permutation, hall_witness
 from rainbowgraphs.graphs import sample_coloured_digraph, split_probability
 from rainbowgraphs.rng import substream
 
 
 def main() -> None:
     n, d, p = 8, 2, 0.7
-    kappa = d * n + 4  # small enough for the exhaustive Hall-witness search
+    kappa = d * n + 4  # few spare colours, so some seeds are infeasible
     p1 = split_probability(p).p1
     print(f"n={n}, d={d}, p={p} -> p1={p1:.4f}, kappa={kappa}")
 
@@ -20,7 +20,7 @@ def main() -> None:
         g = sample_coloured_digraph(n, p1, kappa, rng)
         rainbow = extract_via_permutation(g, d, rng)
         if rainbow is None:
-            _, witness = check_hall_bruteforce(g, d)
+            witness = hall_witness(g, d)
             print(f"seed {seed}: infeasible, deficient colour set "
                   f"{witness.colours} (deficiency {witness.deficiency})")
             continue

@@ -28,9 +28,9 @@ from .flow import (
     HallWitness,
     RainbowDOut,
     build_network,
-    check_hall_bruteforce,
     extract_rainbow_dout,
     extract_via_permutation,
+    hall_witness,
     max_flow,
 )
 from .graphs import (

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import edgelist, targets
-from .flow import HALL_KAPPA_CAP, check_hall_bruteforce, extract_rainbow_dout, extract_via_permutation
+from .flow import extract_rainbow_dout, extract_via_permutation, hall_witness
 from .graphs import sample_coloured_digraph, sample_coloured_graph, split_probability
 from .harness import (
     ExperimentConfig,
@@ -61,15 +61,13 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     else:
         result = extract_rainbow_dout(dgr, args.d)
     if result is None:
-        lines = ["INFEASIBLE"]
-        if dgr.kappa <= HALL_KAPPA_CAP:
-            _, witness = check_hall_bruteforce(dgr, args.d)
-            if witness is not None:
-                lines.append(f"witness colours: {' '.join(map(str, witness.colours))}")
-                lines.append(
-                    f"witness neighbours: {' '.join(map(str, witness.neighbours))}"
-                )
-                lines.append(f"deficiency: {witness.deficiency}")
+        witness = hall_witness(dgr, args.d)
+        lines = [
+            "INFEASIBLE",
+            f"witness colours: {' '.join(map(str, witness.colours))}",
+            f"witness neighbours: {' '.join(map(str, witness.neighbours))}",
+            f"deficiency: {witness.deficiency}",
+        ]
         _write("\n".join(lines) + "\n", args.out)
         return 1
     _write_graph(result.digraph, args.out)

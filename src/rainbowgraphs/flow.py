@@ -15,8 +15,11 @@ nothing else.
 
 The flow value equals d*n exactly when every colour set S satisfies the
 cut condition kappa - |S| + d*|N(S)| >= d*n, where N(S) is the set of
-tails carrying a colour of S; `check_hall_bruteforce` verifies this by
-enumeration and produces a violating witness when the condition fails.
+tails carrying a colour of S.  When the value falls short, the nodes
+reachable from the source in the residual network form the smallest
+source side of a minimum cut; its colour nodes are a colour set S of
+maximum deficiency, contained in every other one, and `hall_witness`
+returns it as the certificate, at any kappa.
 """
 
 from __future__ import annotations
@@ -25,11 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .graphs import ColouredDigraph, PermutationFamily, random_permutation_family
-
-HALL_KAPPA_CAP = 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,6 +88,22 @@ class HallWitness:
     neighbours: tuple[int, ...]
     deficiency: int
 
+    def check(self, source: ColouredDigraph, d: int) -> None:
+        """Assert, in linear time, that the neighbours are the tails of the
+        source's arcs with a colour in S and the deficiency is right and > 0."""
+        s, n, kappa = np.array(self.colours, dtype=np.int64), source.n, source.kappa
+        if len(s) and (s[0] < 1 or s[-1] > kappa or (np.diff(s) <= 0).any()):
+            raise AssertionError(f"colours {self.colours} not ascending in [1, {kappa}]")
+        deficiency = d * n - (kappa - len(s) + d * len(self.neighbours))
+        if self.deficiency != deficiency or deficiency <= 0:
+            raise AssertionError(f"deficiency {self.deficiency}, recomputed {deficiency}, not > 0")
+        # a positive deficiency bounds kappa by |S| + d*n
+        in_s = np.zeros(kappa + 1, dtype=bool)
+        in_s[s] = True
+        tails = np.bincount(source.arcs[in_s[source.arcs[:, 2]], 0], minlength=n)
+        if np.flatnonzero(tails).tolist() != list(self.neighbours):
+            raise AssertionError(f"neighbours {self.neighbours} are not the tails of S's arcs")
+
 
 @dataclass(frozen=True)
 class RainbowDOut:
@@ -119,6 +136,8 @@ def build_network(d_in: ColouredDigraph, d: int) -> FlowNetwork:
     tails, _, colours = d_in.arcs.T
     # sort and drop repeats: numpy 2's hash-table np.unique is ~30x slower here
     keys = np.sort(colours * d_in.n + tails)
+    if len(keys) and keys[0] < d_in.n:  # colour 0 would be the source node
+        raise ValueError(f"uncoloured arc with tail {keys[0]} has no colour node")
     pairs = np.column_stack(np.divmod(keys[np.diff(keys, prepend=-1) != 0], d_in.n))
     pairs.flags.writeable = False
     return FlowNetwork(n=d_in.n, kappa=d_in.kappa, d=d, middle_arcs=pairs)
@@ -131,40 +150,20 @@ def max_flow(net: FlowNetwork) -> tuple[int, csr_matrix]:
     return int(res.flow_value), res.flow
 
 
-def check_hall_bruteforce(
-    d_in: ColouredDigraph, d: int, kappa: int | None = None
-) -> tuple[bool, HallWitness | None]:
-    """Enumerate every colour subset S and test the cut condition.
-
-    Returns (True, None) when all subsets pass; otherwise a maximally
-    deficient witness, ties broken by smaller |S| then lexicographic S.
-    """
-    if kappa is None:
-        kappa = d_in.kappa
-    if kappa > HALL_KAPPA_CAP:
-        raise ValueError(f"kappa={kappa} exceeds enumeration cap {HALL_KAPPA_CAP}")
-    n, target = d_in.n, d * d_in.n
-    tail_mask = [0] * (kappa + 1)
-    for t, _, c in d_in.arcs.tolist():
-        tail_mask[c] |= 1 << t
-    best: tuple[int, int, tuple[int, ...], int] | None = None  # (-def, |S|, S, N)
-    neigh = [0] * (1 << kappa)
-    for mask in range(1, 1 << kappa):
-        low = mask & -mask
-        neigh[mask] = neigh[mask ^ low] | tail_mask[low.bit_length()]
-    for mask in range(1 << kappa):
-        size = mask.bit_count()
-        deficiency = target - (kappa - size + d * neigh[mask].bit_count())
-        if deficiency > 0:
-            s = tuple(x for x in range(1, kappa + 1) if mask >> (x - 1) & 1)
-            cand = (-deficiency, size, s, neigh[mask])
-            if best is None or cand < best:
-                best = cand
-    if best is None:
-        return True, None
-    neg_def, _, s, nmask = best
-    neighbours = tuple(v for v in range(n) if nmask >> v & 1)
-    return False, HallWitness(colours=s, neighbours=neighbours, deficiency=-neg_def)
+def hall_witness(d_in: ColouredDigraph, d: int) -> HallWitness | None:
+    """The colour set of maximum deficiency that lies inside all others, so
+    the smallest, or None when the max-flow value reaches d*n.  Colours
+    and neighbours come in ascending order."""
+    net = build_network(d_in, d)
+    value, flow = max_flow(net)
+    if value >= d * d_in.n:
+        return None
+    residual = (net.capacity_matrix() - flow) > 0
+    # sorted: the source, colours, then vertices (a maximum flow cuts off the sink)
+    reached = np.sort(breadth_first_order(residual, net.source, return_predecessors=False))
+    split = np.searchsorted(reached, net.vertex_node(0))
+    neighbours = reached[split:] - net.vertex_node(0)
+    return HallWitness(tuple(reached[1:split].tolist()), tuple(neighbours.tolist()), d * d_in.n - value)
 
 
 def _decompose(

@@ -16,9 +16,9 @@ from rainbowgraphs.bounds import log_L, theta
 from rainbowgraphs.coupling import couple
 from rainbowgraphs.flow import (
     build_network,
-    check_hall_bruteforce,
     extract_rainbow_dout,
     extract_via_permutation,
+    hall_witness,
     max_flow,
 )
 from rainbowgraphs.graphs import sample_coloured_digraph, split_probability
@@ -36,6 +36,7 @@ from rainbowgraphs.targets import (
 )
 
 from test_bounds import log_l_oracle, theta_oracle
+from test_flow import check_hall_bruteforce
 from test_search import rainbow_copy_oracle, rainbow_tree_oracle
 
 
@@ -48,7 +49,8 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 
 def test_flow_hall_equivalence():
     """Max-flow value d*n exactly when the colour-subset cut condition
-    holds; 1000 random instances, exhaustive subset oracle, < 30 s."""
+    holds, and the residual min-cut witness is the oracle's; 1000 random
+    instances, exhaustive subset oracle, < 30 s."""
     start = time.monotonic()
     disagreements = 0
     i = 0
@@ -64,6 +66,8 @@ def test_flow_hall_equivalence():
         if (value == d * n) != holds:
             disagreements += 1
         if witness is not None and witness.deficiency <= 0:
+            disagreements += 1
+        if hall_witness(d_in, d) != witness:
             disagreements += 1
         i += 1
     elapsed = time.monotonic() - start

@@ -1,3 +1,5 @@
+import pytest
+
 from rainbowgraphs.cli import main
 
 
@@ -29,6 +31,15 @@ class TestGenExtract:
         text = out.read_text()
         assert text.startswith("INFEASIBLE")
         assert "deficiency" in text
+
+    def test_extract_rejects_uncoloured_arcs(self, tmp_path):
+        # colour 0 once crashed the decomposition (first input) or passed
+        # off 2 arcs on 3 vertices as a rainbow 1-out (second input)
+        path = tmp_path / "d.txt"
+        for text in ["2 1\n0 1 0\n1 0 0\n", "3 2\n0 1 0\n1 0 1\n2 0 2\n"]:
+            path.write_text(text)
+            with pytest.raises(ValueError, match="uncoloured arc"):
+                main(["extract", "--in", str(path), "--d", "1", "--out", str(tmp_path / "o")])
 
     def test_extract_permute(self, tmp_path):
         path = tmp_path / "d.txt"

@@ -3,11 +3,12 @@ import pytest
 from scipy.stats import chisquare
 
 from rainbowgraphs.flow import (
+    HallWitness,
     RainbowDOut,
     build_network,
-    check_hall_bruteforce,
     extract_rainbow_dout,
     extract_via_permutation,
+    hall_witness,
     max_flow,
 )
 from rainbowgraphs.graphs import (
@@ -16,8 +17,45 @@ from rainbowgraphs.graphs import (
     identity_permutation_family,
     random_permutation_family,
     sample_coloured_digraph,
+    sample_d_out,
 )
 from rainbowgraphs.rng import substream
+
+HALL_KAPPA_CAP = 22
+
+
+def check_hall_bruteforce(d_in, d):
+    """Reference oracle: enumerate every colour subset S and test the cut
+    condition kappa - |S| + d*|N(S)| >= d*n.
+
+    Returns (True, None) when all subsets pass; otherwise a maximally
+    deficient witness, ties broken by smaller |S| then lexicographic S.
+    """
+    kappa = d_in.kappa
+    if kappa > HALL_KAPPA_CAP:
+        raise ValueError(f"kappa={kappa} exceeds enumeration cap {HALL_KAPPA_CAP}")
+    n, target = d_in.n, d * d_in.n
+    tail_mask = [0] * (kappa + 1)
+    for t, _, c in d_in.arcs.tolist():
+        tail_mask[c] |= 1 << t
+    best = None  # (-deficiency, |S|, S, N(S) bitmask)
+    neigh = [0] * (1 << kappa)
+    for mask in range(1, 1 << kappa):
+        low = mask & -mask
+        neigh[mask] = neigh[mask ^ low] | tail_mask[low.bit_length()]
+    for mask in range(1 << kappa):
+        size = mask.bit_count()
+        deficiency = target - (kappa - size + d * neigh[mask].bit_count())
+        if deficiency > 0:
+            s = tuple(x for x in range(1, kappa + 1) if mask >> (x - 1) & 1)
+            cand = (-deficiency, size, s, neigh[mask])
+            if best is None or cand < best:
+                best = cand
+    if best is None:
+        return True, None
+    neg_def, _, s, nmask = best
+    neighbours = tuple(v for v in range(n) if nmask >> v & 1)
+    return False, HallWitness(colours=s, neighbours=neighbours, deficiency=-neg_def)
 
 
 def random_instance(seed, n, kappa, p1):
@@ -48,6 +86,15 @@ class TestBuildNetwork:
             expected = {(c, t) for t, _, c in d_in.arcs}
             assert len(net.middle_arcs) == len(expected)
             assert {(c, t) for c, t in net.middle_arcs.tolist()} == expected
+
+    def test_rejects_uncoloured_arcs(self):
+        # colour 0 would be the source node: each uncoloured arc would
+        # become a source->vertex arc of capacity d*n
+        with pytest.raises(ValueError, match="uncoloured arc"):
+            build_network(sample_d_out(5, 2, substream(0)), 2)
+        mixed = ColouredDigraph(n=3, kappa=2, arcs=((0, 1, 0), (1, 0, 1), (2, 0, 2)))
+        with pytest.raises(ValueError, match="uncoloured arc with tail 0"):
+            build_network(mixed, 1)
 
 
 class TestMaxFlow:
@@ -134,8 +181,72 @@ class TestHallBruteforce:
             p1 = float(rng.choice([0.2, 0.5, 0.8]))
             d_in = sample_coloured_digraph(n, p1, kappa, rng)
             value = max_flow(build_network(d_in, d))[0]
-            holds, _ = check_hall_bruteforce(d_in, d)
+            holds, witness = check_hall_bruteforce(d_in, d)
             assert (value == d * n) == holds
+            assert hall_witness(d_in, d) == witness
+
+
+class TestHallWitness:
+    def test_checks_at_scale(self):
+        # far past the enumeration cap: n=1000, kappa=3000, d=2
+        d_in = sample_coloured_digraph(1000, 0.004, 3000, substream(5, "hall-scale"))
+        value = max_flow(build_network(d_in, 2))[0]
+        witness = hall_witness(d_in, 2)
+        assert value < 2000
+        witness.check(d_in, 2)
+        assert witness.deficiency == 2000 - value
+
+    def test_none_exactly_when_flow_is_full_above_cap(self):
+        infeasible = 0
+        for seed in range(60):
+            rng = substream(seed, "hall-above-cap")
+            n, d = int(rng.integers(3, 12)), int(rng.integers(1, 3))
+            kappa = int(rng.integers(23, 45))
+            d_in = sample_coloured_digraph(n, float(rng.choice([0.2, 0.5])), kappa, rng)
+            value = max_flow(build_network(d_in, d))[0]
+            witness = hall_witness(d_in, d)
+            assert (witness is None) == (value == d * n)
+            if witness is not None:
+                witness.check(d_in, d)
+                assert witness.deficiency == d * n - value
+                infeasible += 1
+        assert 10 < infeasible < 60
+
+
+class TestHallWitnessCheck:
+    SOURCE = ColouredDigraph(n=3, kappa=4, arcs=((0, 1, 1), (1, 2, 1), (2, 0, 2)))
+
+    def test_accepts_oracle_witness(self):
+        holds, witness = check_hall_bruteforce(self.SOURCE, 1)
+        assert not holds
+        witness.check(self.SOURCE, 1)
+        assert hall_witness(self.SOURCE, 1) == witness
+
+    def test_rejects_dropped_neighbour(self):
+        # S={2,3,4} has N(S)={2} and deficiency 1; without the neighbour the
+        # stated deficiency 2 matches the count, so only N(S) is wrong
+        HallWitness(colours=(2, 3, 4), neighbours=(2,), deficiency=1).check(self.SOURCE, 1)
+        witness = HallWitness(colours=(2, 3, 4), neighbours=(), deficiency=2)
+        with pytest.raises(AssertionError, match="not the tails"):
+            witness.check(self.SOURCE, 1)
+
+    def test_rejects_wrong_deficiency(self):
+        HallWitness(colours=(3, 4), neighbours=(), deficiency=1).check(self.SOURCE, 1)
+        with pytest.raises(AssertionError, match="deficiency 2, recomputed 1"):
+            HallWitness(colours=(3, 4), neighbours=(), deficiency=2).check(self.SOURCE, 1)
+
+    def test_rejects_non_deficient_set(self):
+        # S={1}: kappa - |S| + d*|{0, 1}| = 5 >= d*n = 3, deficiency -2;
+        # S={1,3,4} meets the condition with equality, deficiency 0
+        for colours, deficiency in [((1,), -2), ((1, 3, 4), 0)]:
+            witness = HallWitness(colours=colours, neighbours=(0, 1), deficiency=deficiency)
+            with pytest.raises(AssertionError, match="not > 0"):
+                witness.check(self.SOURCE, 1)
+
+    def test_rejects_colours_out_of_order_or_range(self):
+        for colours in [(4, 3), (3, 3, 4), (0, 3, 4), (3, 4, 5)]:
+            with pytest.raises(AssertionError, match="not ascending"):
+                HallWitness(colours, (), 2).check(self.SOURCE, 1)
 
 
 class TestExtraction:

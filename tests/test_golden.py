@@ -1,9 +1,11 @@
 """Golden outputs: every case's CLI output must match its fixture byte for
 byte, so a refactor that changes any number, field, order or draw shows.
 
-Regenerate the fixtures (only for a deliberate output change) with
+Regenerate fixtures (only for a deliberate output change) with
 
-    PYTHONPATH=src python3 tests/test_golden.py
+    PYTHONPATH=src python3 tests/test_golden.py [NAME ...]
+
+which rewrites only the named cases, or every case when no name is given.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from rainbowgraphs.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DIGRAPH = str(GOLDEN / "input_digraph.txt")  # gen --n 8 --p 0.8 --kappa 30 --seed 2 --directed
 SPARSE = str(GOLDEN / "input_sparse.txt")  # too few colours for d=1: infeasible
+WIDE = str(GOLDEN / "input_kappa30.txt")  # kappa=30, one colour present: infeasible
 GRAPH = str(GOLDEN / "input_graph.txt")  # gen --n 7 --p 0.9 --kappa 30 --seed 4
 
 _LEMMA3 = ["--mode", "lemma3", "--n", "20", "--p", "0.6", "--kappa", "45", "--d", "2",
@@ -66,6 +69,7 @@ CASES: dict[str, tuple[list[str], int]] = {
     "extract_permute.txt": (["extract", "--in", DIGRAPH, "--d", "2", "--permute",
                              "--seed", "9"], 0),
     "extract_infeasible.txt": (["extract", "--in", SPARSE, "--d", "1"], 1),
+    "extract_infeasible_kappa30.txt": (["extract", "--in", WIDE, "--d", "1"], 1),
     "search_cycle.txt": (["search", "--graph", GRAPH, "--target", "cycle"], 0),
     "search_path_padded.txt": (["search", "--graph", GRAPH, "--target", "path",
                                 "--size", "5"], 0),
@@ -95,9 +99,24 @@ def test_output_matches_golden_with_two_jobs(name, tmp_path):
     assert got == (GOLDEN / name).read_bytes()
 
 
-if __name__ == "__main__":
-    for name, (argv, want_code) in CASES.items():
-        code = main([*argv, "--out", str(GOLDEN / name)])
+def regenerate(names: list[str], where: Path = GOLDEN) -> None:
+    unknown = sorted(set(names) - CASES.keys())
+    if unknown:
+        sys.exit(f"unknown case(s): {' '.join(unknown)}")
+    for name in names:
+        argv, want_code = CASES[name]
+        code = main([*argv, "--out", str(where / name)])
         if code != want_code:
             sys.exit(f"{name}: exit code {code}, expected {want_code}")
         print(f"wrote {name}")
+
+
+def test_regenerate_writes_only_named_cases(tmp_path):
+    regenerate(["gamma_path.txt", "extract_infeasible.txt"], tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["extract_infeasible.txt", "gamma_path.txt"]
+    with pytest.raises(SystemExit, match="unknown case"):
+        regenerate(["no_such_case.txt"], tmp_path)
+
+
+if __name__ == "__main__":
+    regenerate(sys.argv[1:] or list(CASES))
