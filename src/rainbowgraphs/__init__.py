@@ -40,7 +40,6 @@ from .graphs import (
     ProbabilitySplit,
     apply_permutations,
     coalesce_orientation,
-    identity_permutation_family,
     random_permutation_family,
     sample_coloured_digraph,
     sample_coloured_graph,

@@ -125,7 +125,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             # size means vertex count for these families, so a spanning
             # default is well defined; grid/hypercube sizes are side/dim.
             if args.target not in ("cycle", "path", "matching", "tree"):
-                raise SystemExit(f"--size is required for --target {args.target}")
+                raise ValueError(f"--size is required for --target {args.target}")
             size = g.n
         h = targets.pad_target(targets.build_target(args.target, size, args.seed), g.n)
         emb = find_rainbow_copy_exact(g, h)
@@ -271,8 +271,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand.  Exit code 0 means an object was found or
+    written, 1 a negative verdict (INFEASIBLE, NONE) and 2 bad input (an
+    invalid value or a file that cannot be read or written), as for
+    argparse's own usage errors."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

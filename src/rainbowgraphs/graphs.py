@@ -135,9 +135,6 @@ class PermutationFamily(_ArrayFields):
     def n(self) -> int:
         return len(self.perms)
 
-    def inverse(self) -> "PermutationFamily":
-        return PermutationFamily(np.argsort(self.perms, axis=1))
-
 
 def split_probability(p: float) -> ProbabilitySplit:
     """Solve (1 - p1)^2 = 1 - p for p1 in [0, 1).
@@ -247,15 +244,10 @@ def random_permutation_family(n: int, rng: np.random.Generator) -> PermutationFa
     return PermutationFamily(perms)
 
 
-def identity_permutation_family(n: int) -> PermutationFamily:
-    return PermutationFamily(np.tile(np.arange(n), (n, 1)))
-
-
 def apply_permutations(d: ColouredDigraph, f: PermutationFamily) -> ColouredDigraph:
     """Map every arc (v, w, c) to (v, pi_v(w), c).
 
-    Colours and out-degrees are unchanged; arc order is preserved.  Apply
-    `f.inverse()` to map back.
+    Colours and out-degrees are unchanged; arc order is preserved.
     """
     if f.n != d.n:
         raise ValueError(f"family covers {f.n} vertices, digraph has {d.n}")

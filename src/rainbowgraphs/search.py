@@ -4,11 +4,20 @@ Two finders: a complete backtracking search for a spanning rainbow copy
 of a fixed target graph (n <= 16), and a rainbow spanning tree decision
 by matroid intersection (graphic matroid x one-edge-per-colour partition
 matroid), which is exact where greedy colour exchange is not.
+
+The copy search rejects a host without searching it when its sorted
+degree sequence does not dominate the target's, or when it has fewer
+distinct colours than the target has edges.  While it searches, it
+tries for each target vertex only host vertices of at least that
+vertex's degree.  Every host and branch so skipped holds no copy, so
+the search returns the same first embedding as one without them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graphs import ColouredGraph
 from .targets import TargetGraph
@@ -69,24 +78,38 @@ def find_rainbow_copy_exact(
     Target vertices are placed in descending-degree order, candidates in
     ascending index, colours tracked in a used-set; the first embedding in
     that order is returned, so output is deterministic.
+
+    Two prefilters return None before any search: a spanning copy maps
+    vertices bijectively, so g's sorted degree sequence must dominate h's,
+    and its e(h) edges need e(h) distinct colours in g.  At each level only
+    host vertices of degree at least the target vertex's degree are tried
+    (Ullmann's degree filter).  Every branch these skip fails, so the first
+    embedding is the one the unpruned search finds.
     """
     if g.n != h.n_H:
         raise ValueError(f"spanning search needs n(G) = n(H), got {g.n} != {h.n_H}")
     if g.n > EXACT_SEARCH_CAP:
         raise ValueError(f"n={g.n} exceeds search cap {EXACT_SEARCH_CAP}")
     n = g.n
-    colour_of = {}
-    for u, v, c in g.edges.tolist():
-        colour_of[(u, v)] = c
-        colour_of[(v, u)] = c
     h_adj = [[] for _ in range(n)]
     for a, b in h.edges:
         h_adj[a].append(b)
         h_adj[b].append(a)
-    order = sorted(range(n), key=lambda v: -len(h_adj[v]))
+    h_deg = [len(nbrs) for nbrs in h_adj]
+    g_deg = np.bincount(g.edges[:, :2].ravel(), minlength=n).tolist()
+    if any(x < y for x, y in zip(sorted(g_deg), sorted(h_deg))):
+        return None
+    if len(np.unique(g.edges[:, 2])) < h.e_total:
+        return None
+    colour_of = {}
+    for u, v, c in g.edges.tolist():
+        colour_of[(u, v)] = c
+        colour_of[(v, u)] = c
+    order = sorted(range(n), key=lambda v: -h_deg[v])
     pos = {v: i for i, v in enumerate(order)}
     # neighbours already placed when a vertex comes up in the order
     placed_nbrs = [[b for b in h_adj[a] if pos[b] < pos[a]] for a in order]
+    candidates = [[v for v in range(n) if g_deg[v] >= h_deg[a]] for a in order]
 
     vmap = [-1] * n
     used_hosts = [False] * n
@@ -96,7 +119,7 @@ def find_rainbow_copy_exact(
         if i == n:
             return True
         a = order[i]
-        for cand in range(n):
+        for cand in candidates[i]:
             if used_hosts[cand]:
                 continue
             new_colours = []

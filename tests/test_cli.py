@@ -1,5 +1,3 @@
-import pytest
-
 from rainbowgraphs.cli import main
 
 
@@ -32,14 +30,15 @@ class TestGenExtract:
         assert text.startswith("INFEASIBLE")
         assert "deficiency" in text
 
-    def test_extract_rejects_uncoloured_arcs(self, tmp_path):
+    def test_extract_rejects_uncoloured_arcs(self, tmp_path, capsys):
         # colour 0 once crashed the decomposition (first input) or passed
         # off 2 arcs on 3 vertices as a rainbow 1-out (second input)
         path = tmp_path / "d.txt"
         for text in ["2 1\n0 1 0\n1 0 0\n", "3 2\n0 1 0\n1 0 1\n2 0 2\n"]:
             path.write_text(text)
-            with pytest.raises(ValueError, match="uncoloured arc"):
-                main(["extract", "--in", str(path), "--d", "1", "--out", str(tmp_path / "o")])
+            code = main(["extract", "--in", str(path), "--d", "1", "--out", str(tmp_path / "o")])
+            assert code == 2
+            assert "uncoloured arc" in capsys.readouterr().err
 
     def test_extract_permute(self, tmp_path):
         path = tmp_path / "d.txt"
@@ -71,6 +70,21 @@ class TestOtherCommands:
                      "--size", "6"])
         out = capsys.readouterr().out
         assert (code == 0 and out.startswith("map:")) or out == "NONE\n"
+
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, run_cli):
+        # exit 1 is a valid NONE/INFEASIBLE verdict, so bad input has its own code
+        graph, digraph = tmp_path / "g.txt", tmp_path / "d.txt"
+        graph.write_text("4 3\n0 1 1\n1 2 2\n")
+        digraph.write_text("3 2\n0 1 1\n0 1 2\n")
+        for args, message in [
+            (["search", "--graph", str(graph), "--target", "grid"], "--size is required"),
+            (["extract", "--in", str(digraph), "--d", "1"], "duplicate arc (0, 1)"),
+            (["extract", "--in", str(tmp_path / "missing.txt"), "--d", "1"], "missing.txt"),
+        ]:
+            res = run_cli(*args)
+            assert res.returncode == 2 and res.stdout == ""
+            assert res.stderr.startswith("error: ") and message in res.stderr
+            assert res.stderr.count("\n") == 1
 
 
 class TestReproducibility:

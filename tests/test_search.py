@@ -15,8 +15,10 @@ from rainbowgraphs.search import (
 from rainbowgraphs.targets import (
     TargetGraph,
     make_cycle,
+    make_grid,
     make_matching,
     make_path,
+    pad_target,
     random_tree,
 )
 
@@ -36,6 +38,71 @@ def rainbow_copy_oracle(g, h):
         else:
             return True
     return False
+
+
+def unpruned_rainbow_copy(g, h):
+    """The backtracking search without prefilters or the degree filter:
+    target vertices in descending-degree order, every host vertex tried in
+    ascending index.  Its first embedding is the one the pruned search must
+    return."""
+    n = g.n
+    colour_of = {}
+    for u, v, c in g.edges.tolist():
+        colour_of[(u, v)] = c
+        colour_of[(v, u)] = c
+    h_adj = [[] for _ in range(n)]
+    for a, b in h.edges:
+        h_adj[a].append(b)
+        h_adj[b].append(a)
+    order = sorted(range(n), key=lambda v: -len(h_adj[v]))
+    pos = {v: i for i, v in enumerate(order)}
+    placed_nbrs = [[b for b in h_adj[a] if pos[b] < pos[a]] for a in order]
+    vmap = [-1] * n
+    used_hosts = [False] * n
+    used_colours = set()
+
+    def rec(i):
+        if i == n:
+            return True
+        a = order[i]
+        for cand in range(n):
+            if used_hosts[cand]:
+                continue
+            new_colours = []
+            ok = True
+            for b in placed_nbrs[i]:
+                c = colour_of.get((cand, vmap[b]))
+                if c is None or c in used_colours or c in new_colours:
+                    ok = False
+                    break
+                new_colours.append(c)
+            if not ok:
+                continue
+            vmap[a] = cand
+            used_hosts[cand] = True
+            used_colours.update(new_colours)
+            if rec(i + 1):
+                return True
+            vmap[a] = -1
+            used_hosts[cand] = False
+            used_colours.difference_update(new_colours)
+        return False
+
+    if not rec(0):
+        return None
+    images = []
+    for a, b in h.edges:
+        u, v = sorted((vmap[a], vmap[b]))
+        images.append(((a, b), (u, v, colour_of[(u, v)])))
+    return RainbowEmbedding(vertex_map=tuple(vmap), edge_images=tuple(images))
+
+
+def with_low_degree_vertex(g, v, keep):
+    """g with all but the first `keep` edges at v removed: v becomes
+    isolated (keep=0) or pendant (keep=1)."""
+    at_v = [row for row in g.edges.tolist() if v in row[:2]][:keep]
+    rest = [row for row in g.edges.tolist() if v not in row[:2]]
+    return ColouredGraph(n=g.n, kappa=g.kappa, edges=sorted(rest + at_v))
 
 
 def rainbow_tree_oracle(g):
@@ -117,6 +184,57 @@ class TestFindRainbowCopyExact:
                 assert verify_embedding(g, h, emb)
             checked += 1
         assert checked == 300
+
+    def test_first_embedding_matches_unpruned_search(self):
+        rng = substream(36)
+        found = {True: 0, False: 0}
+        for trial in range(400):
+            n = int(rng.integers(4, 11))
+            kappa = int(rng.integers(n - 1, 3 * n))
+            p = float(rng.choice([0.4, 0.6, 0.8]))
+            g = sample_coloured_graph(n, p, kappa, rng)
+            if trial % 4 == 1:
+                g = with_low_degree_vertex(g, int(rng.integers(n)), keep=0)
+            elif trial % 4 == 2:
+                g = with_low_degree_vertex(g, int(rng.integers(n)), keep=1)
+            pick = trial % 7
+            if pick == 0:
+                h = make_cycle(n)
+            elif pick == 1:
+                h = make_path(n)
+            elif pick == 2:
+                h = random_tree(n, rng)
+            elif pick == 3:
+                h = make_matching(n - n % 2)
+            elif pick == 4:
+                h = make_grid(3) if n >= 9 else make_cycle(n - 1)
+            elif pick == 5:
+                h = make_path(int(rng.integers(2, n)))
+            else:
+                h = random_tree(int(rng.integers(2, n)), rng)
+            h = pad_target(h, n)
+            emb = find_rainbow_copy_exact(g, h)
+            assert emb == unpruned_rainbow_copy(g, h)
+            if emb is not None:
+                assert verify_embedding(g, h, emb)
+            found[emb is not None] += 1
+        assert found[True] > 80 and found[False] > 80
+
+    def test_degree_prefilter_rejects_isolated_vertex(self):
+        # rainbow K15 plus an isolated vertex: no Hamilton cycle, and the
+        # unpruned search would try every rainbow path on 15 vertices
+        edges = [(u, v, 1 + i) for i, (u, v) in enumerate(combinations(range(15), 2))]
+        g = ColouredGraph(n=16, kappa=len(edges), edges=edges)
+        assert find_rainbow_copy_exact(g, make_cycle(16)) is None
+
+    def test_colour_prefilter_rejects_too_few_colours(self):
+        # K16 with 15 colours cannot carry 16 distinct edge colours
+        edges = [
+            (u, v, 1 + i % 15) for i, (u, v) in enumerate(combinations(range(16), 2))
+        ]
+        g = ColouredGraph(n=16, kappa=15, edges=edges)
+        assert find_rainbow_copy_exact(g, make_cycle(16)) is None
+        assert find_rainbow_copy_exact(g, make_path(16)) is not None
 
     def test_deterministic_output(self):
         g = sample_coloured_graph(7, 0.7, 12, substream(32))
