@@ -6,12 +6,15 @@ some arc of the input digraph with that tail carries that colour, and
 vertex->sink arcs have capacity d.  A flow of value d*n decomposes into
 d*n unit paths, each assigning a colour to a vertex; picking one input arc
 per assignment yields a digraph with out-degree d everywhere and globally
-distinct arc colours.  Where a vertex has several arcs of its assigned
-colour, the decomposition keeps the head of least rank: the head itself
-in `extract_rainbow_dout`, its image under a random per-vertex
-relabelling in `extract_via_permutation`.  The network depends only on
-the (colour, tail) pairs, so the relabelling changes that tie-break and
-nothing else.
+distinct arc colours.  Each colour is assigned to at most one vertex, so
+one lookup indexed by colour finds the arcs of the assignments.  Where a
+vertex has several arcs of its assigned colour, the decomposition keeps
+the head of least rank: the head itself in `extract_rainbow_dout`, its
+image under a random per-vertex relabelling in
+`extract_via_permutation`.  Only those tied heads are ranked, so the
+relabelling is computed for their vertices alone.  The network depends
+only on the (colour, tail) pairs, so the relabelling changes that
+tie-break and nothing else.
 
 The flow value equals d*n exactly when every colour set S satisfies the
 cut condition kappa - |S| + d*|N(S)| >= d*n, where N(S) is the set of
@@ -24,13 +27,14 @@ returns it as the certificate, at any kappa.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
-from .graphs import ColouredDigraph, PermutationFamily, random_permutation_family
+from .graphs import ColouredDigraph, PermutationFamily
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,33 +170,43 @@ def hall_witness(d_in: ColouredDigraph, d: int) -> HallWitness | None:
     return HallWitness(tuple(reached[1:split].tolist()), tuple(neighbours.tolist()), d * d_in.n - value)
 
 
+# (tails, heads) of some arcs -> ranks that order the heads of each tail
+HeadRank = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
 def _decompose(
-    net: FlowNetwork, flow: csr_matrix, d_in: ColouredDigraph, d: int, head_rank: np.ndarray
+    net: FlowNetwork, flow: csr_matrix, d_in: ColouredDigraph, d: int, head_rank: HeadRank
 ) -> RainbowDOut:
     # Source caps of 1 force every middle arc's flow into {0, 1}, so each
-    # unit path is just a saturated (colour, vertex) middle arc.  Positive
-    # entries in colour rows are the flows on middle arcs (the reverse
-    # entries of source arcs are negative).
+    # unit path is just a saturated (colour, vertex) middle arc, and each
+    # colour is assigned to at most one tail.  Positive entries in colour
+    # rows are the flows on middle arcs (the reverse entries of source arcs
+    # are negative).
     n, ptr, first, last = d_in.n, flow.indptr, net.colour_node(1), net.vertex_node(0)
     span = slice(ptr[first], ptr[last])
     row_colours = np.repeat(np.arange(1, net.kappa + 1), np.diff(ptr[first : last + 1]))
     positive = flow.data[span] > 0
-    # colour * n + tail, as in build_network
-    saturated = np.sort(row_colours[positive] * n + flow.indices[span][positive] - last)
-    tails, _, colours = d_in.arcs.T
-    keys = colours * n + tails
-    # a search position past the end wraps to 0, where the key cannot match
-    found = saturated[np.searchsorted(saturated, keys) % len(saturated)]
-    used = np.flatnonzero(found == keys)
+    # owner[c] is the tail colour c is assigned to, -1 when unassigned; one
+    # lookup per arc finds the arcs of the assigned (colour, tail) pairs
+    owner = np.full(net.kappa + 1, -1)
+    owner[row_colours[positive]] = flow.indices[span][positive] - last
+    used = np.flatnonzero(owner[d_in.arcs[:, 2]] == d_in.arcs[:, 0])
+    tails, heads, colours = d_in.arcs[used].T
+    # only the heads of a pair with several arcs need ranks: a pair's arcs
+    # share its colour, and every other pair keeps its one arc
+    tied = np.bincount(colours)[colours] > 1
+    rank = np.zeros(len(used), dtype=np.int64)
+    if np.count_nonzero(tied):
+        rank[tied] = head_rank(tails[tied], heads[tied])
     # Sorting by (tail, colour, head rank) puts each assigned pair's arc of
     # least head rank first; the output keeps that arc, tail by tail and
     # colour by colour.
-    used = used[np.lexsort((head_rank[used], colours[used], tails[used]))]
-    used = used[np.diff(keys[used], prepend=-1) != 0]
+    order = np.lexsort((rank, colours, tails))
+    used = used[order[np.diff(colours[order], prepend=-1) != 0]]
     return RainbowDOut(ColouredDigraph(n, d_in.kappa, d_in.arcs[used]), d)
 
 
-def _extract(d_in: ColouredDigraph, d: int, head_rank: np.ndarray) -> RainbowDOut | None:
+def _extract(d_in: ColouredDigraph, d: int, head_rank: HeadRank) -> RainbowDOut | None:
     net = build_network(d_in, d)
     value, flow = max_flow(net)
     if value < d * d_in.n:
@@ -207,7 +221,7 @@ def extract_rainbow_dout(d_in: ColouredDigraph, d: int) -> RainbowDOut | None:
     Where several heads carry the assigned colour from a vertex, the
     smallest head is chosen; `extract_via_permutation` removes that bias.
     """
-    return _extract(d_in, d, d_in.arcs[:, 1])
+    return _extract(d_in, d, lambda tails, heads: heads)
 
 
 def extract_via_permutation(
@@ -223,9 +237,22 @@ def extract_via_permutation(
 
     This is the extraction of the relabelled digraph mapped back through
     pi^{-1}: the network, and so the flow, does not depend on the heads.
+    pi is `random_permutation_family(n, rng)`: the same rng.random((n, n-1))
+    keys are drawn, but pi_v is computed only for the tails whose assigned
+    colour has several heads.  A given `family` is used instead, and then
+    nothing is drawn.
     """
-    fam = random_permutation_family(d_in.n, rng) if family is None else family
-    if fam.n != d_in.n:
-        raise ValueError(f"family covers {fam.n} vertices, digraph has {d_in.n}")
-    tails, heads, _ = d_in.arcs.T
-    return _extract(d_in, d, fam.perms[tails, heads])
+    if family is not None:
+        if family.n != d_in.n:
+            raise ValueError(f"family covers {family.n} vertices, digraph has {d_in.n}")
+        return _extract(d_in, d, lambda tails, heads: family.perms[tails, heads])
+    keys = rng.random((d_in.n, d_in.n - 1))
+
+    def head_rank(tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+        # pi_v(h) orders v's other vertices as the argsort of key row v
+        # does: h is the (h - [h > v])-th of them.  One argsort per tail.
+        rows = np.flatnonzero(np.bincount(tails))
+        ranks = np.argsort(keys[rows], axis=1)
+        return ranks[np.searchsorted(rows, tails), heads - (heads > tails)]
+
+    return _extract(d_in, d, head_rank)

@@ -35,7 +35,10 @@ def _frozen_rows(rows, n: int, kappa: int, undirected: bool) -> np.ndarray:
     outside = a.view(np.uint64) >= np.array([n, n, kappa + 1], dtype=np.uint64)
     loops = u >= v if undirected else u == v
     keys = u * n + v
-    keys.sort()
+    # samplers and coalescing emit rows in (u, v) order: strictly
+    # increasing keys have no repeats and need no sort
+    if np.count_nonzero(keys[1:] <= keys[:-1]):
+        keys.sort()
     repeats = keys[1:] == keys[:-1]
     kind = "edge" if undirected else "arc"
     if np.count_nonzero(outside) or np.count_nonzero(loops):
@@ -224,7 +227,23 @@ def sample_d_out(n: int, d: int, rng: np.random.Generator) -> ColouredDigraph:
         raise ValueError(f"need 1 <= d <= n-1, got d={d}, n={n}")
     # A random key argsort per row is a uniform random ordering of the
     # n-1 candidate heads; the first d entries are a uniform d-arrangement.
-    heads = _other_vertex(np.argsort(rng.random((n, n - 1)), axis=1)[:, :d]).ravel()
+    # Only those are read, so quickselect (np.argpartition) picks each
+    # row's d+1 smallest keys and only they are sorted.  With distinct
+    # keys the first d of them are the full argsort's first d; a row with
+    # a tie among them is argsorted whole, so every seed gives the heads
+    # of the full-row argsort.
+    keys = rng.random((n, n - 1))
+    width = min(d + 1, n - 1)
+    rows = np.arange(n)[:, None]
+    idx = np.argpartition(keys, width - 1, axis=1)[:, :width]
+    picked = keys[rows, idx]
+    order = np.argsort(picked, axis=1)
+    idx, picked = idx[rows, order], picked[rows, order]
+    tied = picked[:, 1:] == picked[:, :-1]
+    if np.count_nonzero(tied):
+        tied = np.flatnonzero(tied.any(axis=1))
+        idx[tied] = np.argsort(keys[tied], axis=1)[:, :width]
+    heads = _other_vertex(idx[:, :d]).ravel()
     arcs = np.column_stack([np.repeat(np.arange(n), d), heads, np.full(n * d, UNCOLOURED)])
     return ColouredDigraph(n=n, kappa=0, arcs=arcs)
 

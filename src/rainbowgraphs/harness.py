@@ -19,6 +19,7 @@ serialisation for that reason.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -35,7 +36,7 @@ from .graphs import (
 )
 from .rng import substream
 from .search import EXACT_SEARCH_CAP, find_rainbow_copy_exact
-from .targets import FAMILIES, build_target, pad_target
+from .targets import FAMILIES, TargetGraph, build_target, pad_target
 
 MODES = ("lemma3", "lemma4", "pipeline")
 SWEEP_AXES = ("p", "kappa", "d", "n")
@@ -105,12 +106,23 @@ class ExperimentConfig:
             )
 
 
+@functools.lru_cache(maxsize=1)
+def _padded_target(family: str, size: int, seed: int, n: int) -> TargetGraph:
+    """The pipeline target padded to the host's n vertices.  It depends
+    only on these four values, so a run builds it once, not per trial."""
+    return pad_target(build_target(family, size, seed), n)
+
+
+def _config_target(config: ExperimentConfig) -> TargetGraph:
+    return _padded_target(config.target_family, config.target_size, config.seed, config.n)
+
+
 def _check_target(config: ExperimentConfig) -> None:
-    """Build a pipeline config's target once, so a target that cannot be
-    built or does not fit the host fails before the first trial.  Not in
-    __post_init__, which runs for every config and every replace()."""
+    """Build a pipeline config's target before the first trial, so a
+    target that cannot be built or does not fit the host fails early.  Not
+    in __post_init__, which runs for every config and every replace()."""
     if config.mode == "pipeline":
-        pad_target(build_target(config.target_family, config.target_size, config.seed), config.n)
+        _config_target(config)
 
 
 @dataclass(frozen=True)
@@ -196,10 +208,7 @@ def _pipeline_trial(config: ExperimentConfig, t: int) -> TrialRecord:
     if inner is None:
         return record("coupling-failed", flow_value=d * n, k_max=k_max)
     host = coalesce_orientation(inner, substream(config.seed, t, "pipe-coalesce"))
-    h = pad_target(
-        build_target(config.target_family, config.target_size, config.seed), n
-    )
-    emb = find_rainbow_copy_exact(host, h)
+    emb = find_rainbow_copy_exact(host, _config_target(config))
     return record(
         "found" if emb is not None else "no-embedding",
         flow_value=d * n, k_max=k_max, inner_arc_count=len(inner.arcs),

@@ -321,6 +321,35 @@ class TestExtractViaPermutation:
                 successes += 1
         assert successes > 50
 
+    def test_drawn_relabelling_is_random_permutation_family(self):
+        # ranking the heads of tied tails only gives the extraction under
+        # the whole family drawn from the same generator
+        instances, feasible, tied = [], 0, 0
+        for seed in range(320):
+            r = substream(seed, "shape")
+            n = int(r.integers(5, 41))
+            d = 1 if seed % 3 else 2
+            instances.append((seed, n, d, int(r.integers(d * n, 2 * n + 1)), r.uniform(0.3, 0.95)))
+        instances += [(1000 + s, 400, 1, 400 + 20 * s, 0.5) for s in range(3)]
+        for seed, n, d, kappa, p1 in instances:
+            d_in = random_instance(seed, n, kappa, p1)
+            via = extract_via_permutation(d_in, d, substream(seed, "p"))
+            family = random_permutation_family(n, substream(seed, "p"))
+            assert via == extract_via_permutation(d_in, d, substream(0), family=family)
+            if via is not None:
+                feasible += 1
+                tied += via.digraph != extract_rainbow_dout(d_in, d).digraph
+        assert feasible > 250 and tied > 200
+
+    @pytest.mark.parametrize("n, kappa, p1", [(2, 2, 0.0), (12, 80, 0.7), (40, 60, 0.8)])
+    def test_draws_only_the_key_matrix(self, n, kappa, p1):
+        # drawn before the max-flow, whether or not the extraction succeeds
+        d_in = random_instance(n, n, kappa, p1)
+        rng, twin = substream(58, n), substream(58, n)
+        extract_via_permutation(d_in, 1, rng)
+        twin.random((n, n - 1))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
     def test_output_subgraph_of_input(self):
         for seed in range(50):
             d_in = random_instance(seed, 6, 12, 0.7)

@@ -31,6 +31,23 @@ def inverse(f):
     return PermutationFamily(np.argsort(f.perms, axis=1))
 
 
+def other_vertex_heads(order):
+    """Heads of a d-out sample whose row v picks the order[v, j]-th
+    smallest vertex other than v, row by row."""
+    return [int(i) + (i >= v) for v in range(len(order)) for i in order[v]]
+
+
+class StubGenerator:
+    """Stands in for a Generator whose next `random` draw is `keys`."""
+
+    def __init__(self, keys):
+        self.keys = keys
+
+    def random(self, shape):
+        assert shape == self.keys.shape
+        return self.keys.copy()
+
+
 class TestSplitProbability:
     def test_identity_case(self):
         assert split_probability(0.0).p1 == 0.0
@@ -301,6 +318,34 @@ class TestLoopReferences:
         order = np.argsort(substream(53, n).random((n, n - 1)), axis=1)[:, :d]
         want = [[v, int(i) if i < v else int(i) + 1, 0] for v in range(n) for i in order[v]]
         assert sample_d_out(n, d, substream(53, n)).arcs.tolist() == want
+
+    def test_sample_d_out_matches_full_argsort(self):
+        # partial selection reads the same heads as argsorting every row
+        for n in range(2, 61):
+            for d in sorted({1, 2, n // 2, n - 2, n - 1} & set(range(1, n))):
+                for seed in range(3):
+                    keys = substream(55, n, d, seed).random((n, n - 1))
+                    want = other_vertex_heads(np.argsort(keys, axis=1)[:, :d])
+                    got = sample_d_out(n, d, substream(55, n, d, seed)).arcs[:, 1]
+                    assert got.tolist() == want, (n, d, seed)
+
+    @pytest.mark.parametrize("levels", [2, 3, 8])
+    def test_sample_d_out_matches_full_argsort_with_tied_keys(self, levels):
+        # keys from a few levels tie within most rows, inside and outside
+        # the d+1 smallest; the heads are still the full argsort's.  At
+        # n=300 sorting only the d+1 smallest would order the ties otherwise.
+        for n, d in [(2, 1), (6, 2), (9, 3), (9, 8), (20, 1), (30, 5), (40, 20),
+                     (300, 150), (300, 298), (300, 299)]:
+            keys = substream(56, n, levels).integers(0, levels, (n, n - 1)) / levels
+            want = other_vertex_heads(np.argsort(keys, axis=1)[:, :d])
+            assert sample_d_out(n, d, StubGenerator(keys)).arcs[:, 1].tolist() == want
+
+    @pytest.mark.parametrize("n, d", [(2, 1), (6, 2), (50, 7), (50, 49)])
+    def test_sample_d_out_draws_only_the_key_matrix(self, n, d):
+        rng, twin = substream(57, n), substream(57, n)
+        sample_d_out(n, d, rng)
+        twin.random((n, n - 1))
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_random_permutation_family_matches_loop(self, n):

@@ -114,6 +114,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(n=n, target_family=family, target_size=size, **base)
 
+    def test_target_built_once_per_run(self, monkeypatch):
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return build_target(*args)
+
+        monkeypatch.setattr(harness, "build_target", counting)
+        harness._padded_target.cache_clear()
+        config = ExperimentConfig(
+            n=8, p=0.95, kappa=60, eps=1.0, d=3, trials=24, seed=5, mode="pipeline",
+            target_family="tree", target_size=8,
+        )
+        searched = [r for r in run_trials(config) if r.pipeline_verdict in ("found", "no-embedding")]
+        assert len(searched) > 1 and built == [("tree", 8, 5)]
+
     @pytest.mark.parametrize("family,size", [("cycle", 9), ("grid", 3), ("matching", 7)])
     def test_unfit_target_fails_before_any_trial(self, family, size, monkeypatch):
         # 9 vertices do not fit a host of 8; a matching on 7 cannot be built
