@@ -235,7 +235,8 @@ def sample_d_out(n: int, d: int, rng: np.random.Generator) -> ColouredDigraph:
     keys = rng.random((n, n - 1))
     width = min(d + 1, n - 1)
     rows = np.arange(n)[:, None]
-    idx = np.argpartition(keys, width - 1, axis=1)[:, :width]
+    # a copy, so the (n, n-1) index array is freed before more are made
+    idx = np.argpartition(keys, width - 1, axis=1)[:, :width].copy()
     picked = keys[rows, idx]
     order = np.argsort(picked, axis=1)
     idx, picked = idx[rows, order], picked[rows, order]

@@ -113,16 +113,12 @@ def _padded_target(family: str, size: int, seed: int, n: int) -> TargetGraph:
     return pad_target(build_target(family, size, seed), n)
 
 
-def _config_target(config: ExperimentConfig) -> TargetGraph:
-    return _padded_target(config.target_family, config.target_size, config.seed, config.n)
-
-
 def _check_target(config: ExperimentConfig) -> None:
     """Build a pipeline config's target before the first trial, so a
     target that cannot be built or does not fit the host fails early.  Not
     in __post_init__, which runs for every config and every replace()."""
     if config.mode == "pipeline":
-        _config_target(config)
+        _padded_target(config.target_family, config.target_size, config.seed, config.n)
 
 
 @dataclass(frozen=True)
@@ -208,7 +204,8 @@ def _pipeline_trial(config: ExperimentConfig, t: int) -> TrialRecord:
     if inner is None:
         return record("coupling-failed", flow_value=d * n, k_max=k_max)
     host = coalesce_orientation(inner, substream(config.seed, t, "pipe-coalesce"))
-    emb = find_rainbow_copy_exact(host, _config_target(config))
+    h = _padded_target(config.target_family, config.target_size, config.seed, n)
+    emb = find_rainbow_copy_exact(host, h)
     return record(
         "found" if emb is not None else "no-embedding",
         flow_value=d * n, k_max=k_max, inner_arc_count=len(inner.arcs),
