@@ -11,10 +11,8 @@ one lookup indexed by colour finds the arcs of the assignments.  Where a
 vertex has several arcs of its assigned colour, the decomposition keeps
 the head of least rank: the head itself in `extract_rainbow_dout`, its
 image under a random per-vertex relabelling in
-`extract_via_permutation`.  Only those tied heads are ranked, so the
-relabelling is computed for their vertices alone.  The network depends
-only on the (colour, tail) pairs, so the relabelling changes that
-tie-break and nothing else.
+`extract_via_permutation`.  The network depends only on the (colour,
+tail) pairs, so the relabelling changes that tie-break and nothing else.
 
 The flow value equals d*n exactly when every colour set S satisfies the
 cut condition kappa - |S| + d*|N(S)| >= d*n, where N(S) is the set of
@@ -27,14 +25,13 @@ returns it as the certificate, at any kappa.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
-from .graphs import ColouredDigraph, PermutationFamily
+from .graphs import ColouredDigraph, PermutationFamily, relabel
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,12 +167,8 @@ def hall_witness(d_in: ColouredDigraph, d: int) -> HallWitness | None:
     return HallWitness(tuple(reached[1:split].tolist()), tuple(neighbours.tolist()), d * d_in.n - value)
 
 
-# (tails, heads) of some arcs -> ranks that order the heads of each tail
-HeadRank = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
 def _decompose(
-    net: FlowNetwork, flow: csr_matrix, d_in: ColouredDigraph, d: int, head_rank: HeadRank
+    net: FlowNetwork, flow: csr_matrix, d_in: ColouredDigraph, d: int, head_rank: np.ndarray
 ) -> RainbowDOut:
     # Source caps of 1 force every middle arc's flow into {0, 1}, so each
     # unit path is just a saturated (colour, vertex) middle arc, and each
@@ -191,22 +184,16 @@ def _decompose(
     owner = np.full(net.kappa + 1, -1)
     owner[row_colours[positive]] = flow.indices[span][positive] - last
     used = np.flatnonzero(owner[d_in.arcs[:, 2]] == d_in.arcs[:, 0])
-    tails, heads, colours = d_in.arcs[used].T
-    # only the heads of a pair with several arcs need ranks: a pair's arcs
-    # share its colour, and every other pair keeps its one arc
-    tied = np.bincount(colours)[colours] > 1
-    rank = np.zeros(len(used), dtype=np.int64)
-    if np.count_nonzero(tied):
-        rank[tied] = head_rank(tails[tied], heads[tied])
+    tails, _, colours = d_in.arcs[used].T
     # Sorting by (tail, colour, head rank) puts each assigned pair's arc of
     # least head rank first; the output keeps that arc, tail by tail and
     # colour by colour.
-    order = np.lexsort((rank, colours, tails))
+    order = np.lexsort((head_rank[used], colours, tails))
     used = used[order[np.diff(colours[order], prepend=-1) != 0]]
     return RainbowDOut(ColouredDigraph(n, d_in.kappa, d_in.arcs[used]), d)
 
 
-def _extract(d_in: ColouredDigraph, d: int, head_rank: HeadRank) -> RainbowDOut | None:
+def _extract(d_in: ColouredDigraph, d: int, head_rank: np.ndarray) -> RainbowDOut | None:
     net = build_network(d_in, d)
     value, flow = max_flow(net)
     if value < d * d_in.n:
@@ -221,7 +208,7 @@ def extract_rainbow_dout(d_in: ColouredDigraph, d: int) -> RainbowDOut | None:
     Where several heads carry the assigned colour from a vertex, the
     smallest head is chosen; `extract_via_permutation` removes that bias.
     """
-    return _extract(d_in, d, lambda tails, heads: heads)
+    return _extract(d_in, d, d_in.arcs[:, 1])
 
 
 def extract_via_permutation(
@@ -237,22 +224,14 @@ def extract_via_permutation(
 
     This is the extraction of the relabelled digraph mapped back through
     pi^{-1}: the network, and so the flow, does not depend on the heads.
-    pi is `random_permutation_family(n, rng)`: the same rng.random((n, n-1))
-    keys are drawn, but pi_v is computed only for the tails whose assigned
-    colour has several heads.  A given `family` is used instead, and then
-    nothing is drawn.
+    pi is `random_permutation_family(n, rng)`, read at the input's arcs
+    only: the same rng.random((n, n-1)) keys are drawn and no (n, n)
+    family is built.  A given `family` is used instead, and then nothing
+    is drawn.
     """
-    if family is not None:
-        if family.n != d_in.n:
-            raise ValueError(f"family covers {family.n} vertices, digraph has {d_in.n}")
-        return _extract(d_in, d, lambda tails, heads: family.perms[tails, heads])
-    keys = rng.random((d_in.n, d_in.n - 1))
-
-    def head_rank(tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
-        # pi_v(h) orders v's other vertices as the argsort of key row v
-        # does: h is the (h - [h > v])-th of them.  One argsort per tail.
-        rows = np.flatnonzero(np.bincount(tails))
-        ranks = np.argsort(keys[rows], axis=1)
-        return ranks[np.searchsorted(rows, tails), heads - (heads > tails)]
-
-    return _extract(d_in, d, head_rank)
+    tails, heads, _ = d_in.arcs.T
+    if family is None:
+        return _extract(d_in, d, relabel(rng.random((d_in.n, d_in.n - 1)), tails, heads))
+    if family.n != d_in.n:
+        raise ValueError(f"family covers {family.n} vertices, digraph has {d_in.n}")
+    return _extract(d_in, d, family.perms[tails, heads])

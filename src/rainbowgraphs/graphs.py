@@ -219,6 +219,10 @@ def coalesce_orientation(
     return ColouredGraph(d.n, d.kappa, np.column_stack([u[rows], v[rows], c[rows]]))
 
 
+# rows per selection block of `sample_d_out`: 2 MB of indices at n=1000
+_SELECT_ROWS = 256
+
+
 def sample_d_out(n: int, d: int, rng: np.random.Generator) -> ColouredDigraph:
     """Every vertex picks d distinct uniform out-neighbours from the other
     n-1 vertices.  Heads are stored in choice order (arcs grouped by tail);
@@ -235,8 +239,11 @@ def sample_d_out(n: int, d: int, rng: np.random.Generator) -> ColouredDigraph:
     keys = rng.random((n, n - 1))
     width = min(d + 1, n - 1)
     rows = np.arange(n)[:, None]
-    # a copy, so the (n, n-1) index array is freed before more are made
-    idx = np.argpartition(keys, width - 1, axis=1)[:, :width].copy()
+    # selection by blocks of rows, so no (n, n-1) index array is made
+    idx = np.empty((n, width), dtype=np.intp)
+    for lo in range(0, n, _SELECT_ROWS):
+        block = keys[lo : lo + _SELECT_ROWS]
+        idx[lo : lo + _SELECT_ROWS] = np.argpartition(block, width - 1, axis=1)[:, :width]
     picked = keys[rows, idx]
     order = np.argsort(picked, axis=1)
     idx, picked = idx[rows, order], picked[rows, order]
@@ -254,13 +261,26 @@ def _other_vertex(idx: np.ndarray) -> np.ndarray:
     return idx + (idx >= np.arange(len(idx))[:, None])
 
 
+def relabel(keys: np.ndarray, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """pi_v(h) for every pair (v, h) = (tails[i], heads[i]) with h != v,
+    where pi is the family `random_permutation_family` makes from the
+    (n, n-1) keys.
+
+    Row v of the keys covers the n-1 vertices other than v in order, so h
+    is its entry j = h - [h > v].  The row's argsort is a uniform
+    permutation of those entries, and pi_v(h) is the vertex other than v
+    at the entry the argsort puts in place j.
+    """
+    image = np.argsort(keys, axis=1)[tails, heads - (heads > tails)]
+    return image + (image >= tails)
+
+
 def random_permutation_family(n: int, rng: np.random.Generator) -> PermutationFamily:
     """Independent uniform permutations pi_v of [n] \\ {v}."""
-    # one argsort per vertex row gives a uniform permutation of its n-1
-    # candidate images, written row by row into the off-diagonal entries
-    images = _other_vertex(np.argsort(rng.random((n, n - 1)), axis=1))
+    keys = rng.random((n, n - 1))
     perms = np.tile(np.arange(n), (n, 1))
-    perms[~np.eye(n, dtype=bool)] = images.ravel()
+    tails, heads = np.nonzero(~np.eye(n, dtype=bool))
+    perms[tails, heads] = relabel(keys, tails, heads)
     return PermutationFamily(perms)
 
 

@@ -322,7 +322,7 @@ class TestExtractViaPermutation:
         assert successes > 50
 
     def test_drawn_relabelling_is_random_permutation_family(self):
-        # ranking the heads of tied tails only gives the extraction under
+        # relabelling the input's heads only gives the extraction under
         # the whole family drawn from the same generator
         instances, feasible, tied = [], 0, 0
         for seed in range(320):
