@@ -35,10 +35,7 @@ def _frozen_rows(rows, n: int, kappa: int, undirected: bool) -> np.ndarray:
     outside = a.view(np.uint64) >= np.array([n, n, kappa + 1], dtype=np.uint64)
     loops = u >= v if undirected else u == v
     keys = u * n + v
-    # samplers and coalescing emit rows in (u, v) order: strictly
-    # increasing keys have no repeats and need no sort
-    if np.count_nonzero(keys[1:] <= keys[:-1]):
-        keys.sort()
+    keys.sort()
     repeats = keys[1:] == keys[:-1]
     kind = "edge" if undirected else "arc"
     if np.count_nonzero(outside) or np.count_nonzero(loops):
