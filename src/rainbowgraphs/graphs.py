@@ -275,9 +275,10 @@ def relabel(keys: np.ndarray, tails: np.ndarray, heads: np.ndarray) -> np.ndarra
 def random_permutation_family(n: int, rng: np.random.Generator) -> PermutationFamily:
     """Independent uniform permutations pi_v of [n] \\ {v}."""
     keys = rng.random((n, n - 1))
-    perms = np.tile(np.arange(n), (n, 1))
-    tails, heads = np.nonzero(~np.eye(n, dtype=bool))
-    perms[tails, heads] = relabel(keys, tails, heads)
+    off = ~np.eye(n, dtype=bool)
+    tails, heads = np.nonzero(off)
+    perms = np.diag(np.arange(n))
+    perms[off] = relabel(keys, tails, heads)
     return PermutationFamily(perms)
 
 
