@@ -30,24 +30,25 @@ class CouplingOutcome:
         return max(self.counts)
 
 
-def truncate(
-    dgr: ColouredDigraph, d: int, p_target: float, rng: np.random.Generator
-) -> tuple[np.ndarray, ColouredDigraph | None]:
-    """Draw per-vertex Binomial(n-1, p1) counts and keep the first counts[v]
-    arcs of each vertex v, in stored arc order.
+def truncation_counts(n: int, p_target: float, rng: np.random.Generator) -> np.ndarray:
+    """Per-vertex Binomial(n-1, p1) counts, where p1 solves
+    (1-p1)^2 = 1-p_target, so forgetting orientation of the truncated
+    digraph gives the undirected model at p_target."""
+    return rng.binomial(n - 1, split_probability(p_target).p1, size=n)
 
-    p1 solves (1-p1)^2 = 1-p_target, so forgetting orientation of the
-    truncated digraph gives the undirected model at p_target.  The
-    truncated digraph is None when some count exceeds d.
-    """
-    counts = rng.binomial(dgr.n - 1, split_probability(p_target).p1, size=dgr.n)
+
+def truncate(dgr: ColouredDigraph, d: int, counts: np.ndarray) -> ColouredDigraph | None:
+    """Keep the first counts[v] arcs of each vertex v, in stored arc order,
+    grouped by tail; None when some count exceeds d."""
     if counts.max(initial=0) > d:
-        return counts, None
-    # rows grouped by tail, stored order kept; rank = position in the group
-    arcs = dgr.arcs[np.argsort(dgr.arcs[:, 0], kind="stable")]
-    tails = arcs[:, 0]
-    rank = np.arange(len(tails)) - np.searchsorted(tails, tails)
-    return counts, ColouredDigraph(dgr.n, dgr.kappa, arcs[rank < counts[tails]])
+        return None
+    tails = dgr.arcs[:, 0]
+    order = np.argsort(tails, kind="stable")
+    sizes = np.bincount(tails, minlength=dgr.n)
+    # position i of the tail-sorted order is kept when it falls before its
+    # group's offset plus its tail's count
+    limit = np.repeat(np.cumsum(sizes) - sizes + counts, sizes)
+    return ColouredDigraph(dgr.n, dgr.kappa, dgr.arcs[order[np.arange(len(order)) < limit]])
 
 
 def couple(
@@ -58,7 +59,8 @@ def couple(
     if eps <= 0:
         raise ValueError(f"need eps > 0, got {eps}")
     d_out = sample_d_out(n, d, rng)
-    counts, inner = truncate(d_out, d, p_target, rng)
+    counts = truncation_counts(n, p_target, rng)
+    inner = truncate(d_out, d, counts)
     return CouplingOutcome(
         d_out=d_out,
         counts=tuple(counts.tolist()),

@@ -67,14 +67,23 @@ class FlowNetwork:
         return self.kappa + 1 + v
 
     def capacity_matrix(self) -> csr_matrix:
-        """Source->colour, then colour->vertex, then vertex->sink arcs."""
+        """The int32 CSR matrix scipy's max-flow takes, built row by row:
+        the source's arcs to the colours, each colour's arcs to vertices
+        (middle_arcs is sorted, so column indices ascend in every row),
+        then each vertex's arc to the sink."""
         colours, vertices = self.middle_arcs.T
-        n, d, m, k = self.n, self.d, self.num_nodes, len(colours)
-        colour_nodes, vertex_nodes = np.arange(1, self.kappa + 1), self.vertex_node(np.arange(n))
-        rows = np.concatenate([np.zeros_like(colour_nodes), colours, vertex_nodes])
-        cols = np.concatenate([colour_nodes, self.vertex_node(vertices), np.full(n, self.sink)])
-        caps = np.concatenate([np.ones_like(colour_nodes), np.full(k, d * n), np.full(n, d)])
-        return csr_matrix((caps, (rows, cols)), shape=(m, m))
+        n, kappa = self.n, self.kappa
+        # row sizes after indptr's leading 0; the sink's row is empty
+        row_sizes = np.concatenate(
+            [[0, kappa], np.bincount(colours, minlength=kappa + 1)[1:], np.ones(n, np.int64), [0]]
+        )
+        indptr = np.cumsum(row_sizes, dtype=np.int32)
+        indices = np.concatenate(
+            [np.arange(1, kappa + 1), self.vertex_node(vertices), np.full(n, self.sink)],
+            dtype=np.int32,
+        )
+        caps = np.repeat(np.array([1, self.d * n, self.d], np.int32), [kappa, len(colours), n])
+        return csr_matrix((caps, indices, indptr), shape=(self.num_nodes, self.num_nodes))
 
 
 @dataclass(frozen=True)
@@ -134,6 +143,11 @@ class RainbowDOut:
 def build_network(d_in: ColouredDigraph, d: int) -> FlowNetwork:
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
+    # scipy's max-flow takes int32 capacities and node indices
+    if max(d * d_in.n, d_in.kappa + d_in.n + 1) > np.iinfo(np.int32).max:
+        raise ValueError(
+            f"capacity d*n = {d * d_in.n} or sink node {d_in.kappa + d_in.n + 1} exceeds int32"
+        )
     tails, _, colours = d_in.arcs.T
     # sort and drop repeats: numpy 2's hash-table np.unique is ~30x slower here
     keys = np.sort(colours * d_in.n + tails)

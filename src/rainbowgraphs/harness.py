@@ -4,7 +4,10 @@ Modes:
   lemma3   -- sample a coloured random digraph, run the flow extraction,
               record whether the flow reaches d*n.
   lemma4   -- run the binomial-truncation coupling, record k_max.
-  pipeline -- extraction, per-vertex shuffle, truncation, orientation
+  pipeline -- truncation counts first: when some count exceeds d the
+              coupling has failed and one max-flow decides between
+              extraction-failed and coupling-failed; otherwise
+              extraction, per-vertex shuffle, truncation, orientation
               coalescing, then exact rainbow search for a target graph
               (n <= 16).
   sweep    -- any of the above across a parameter grid, with Wilson
@@ -26,7 +29,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .coupling import couple, truncate
+from .coupling import couple, truncate, truncation_counts
 from .flow import build_network, extract_via_permutation, max_flow
 from .graphs import (
     ColouredDigraph,
@@ -185,6 +188,16 @@ def _pipeline_trial(config: ExperimentConfig, t: int) -> TrialRecord:
     dgr = sample_coloured_digraph(
         n, p1, config.kappa, substream(config.seed, t, "pipe-sample")
     )
+    counts = truncation_counts(
+        n, (2.0 - config.eps) * d / n, substream(config.seed, t, "pipe-truncate")
+    )
+    k_max = int(counts.max())
+    if k_max > d:
+        # the coupling has failed, so only the flow value decides the verdict
+        value, _ = max_flow(build_network(dgr, d))
+        if value < d * n:
+            return record("extraction-failed")
+        return record("coupling-failed", flow_value=d * n, k_max=k_max)
     rainbow = extract_via_permutation(dgr, d, substream(config.seed, t, "pipe-perm"))
     if rainbow is None:
         return record("extraction-failed")
@@ -195,14 +208,7 @@ def _pipeline_trial(config: ExperimentConfig, t: int) -> TrialRecord:
     arcs = rainbow.digraph.arcs.copy()
     for v in range(n):
         shuffle_rng.shuffle(arcs[v * d : (v + 1) * d])
-    shuffled = ColouredDigraph(n=n, kappa=rainbow.digraph.kappa, arcs=arcs)
-    counts, inner = truncate(
-        shuffled, d, (2.0 - config.eps) * d / n,
-        substream(config.seed, t, "pipe-truncate"),
-    )
-    k_max = int(counts.max())
-    if inner is None:
-        return record("coupling-failed", flow_value=d * n, k_max=k_max)
+    inner = truncate(ColouredDigraph(n=n, kappa=rainbow.digraph.kappa, arcs=arcs), d, counts)
     host = coalesce_orientation(inner, substream(config.seed, t, "pipe-coalesce"))
     h = _padded_target(config.target_family, config.target_size, config.seed, n)
     emb = find_rainbow_copy_exact(host, h)

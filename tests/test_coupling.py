@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 from scipy.stats import binom, chisquare
 
-from rainbowgraphs.coupling import chernoff_success_estimate, couple, regime_out_degree, truncate
-from rainbowgraphs.graphs import ColouredDigraph, sample_d_out, split_probability
+from rainbowgraphs.coupling import (
+    chernoff_success_estimate,
+    couple,
+    regime_out_degree,
+    truncate,
+    truncation_counts,
+)
+from rainbowgraphs.graphs import ColouredDigraph, sample_coloured_digraph, sample_d_out, split_probability
 from rainbowgraphs.rng import substream
 
 
@@ -131,7 +137,8 @@ def test_truncate_matches_loop():
     for t in range(60):
         d_out = sample_d_out(n, d, substream(55, t))
         rows = d_out.arcs[substream(56, t).permutation(len(d_out.arcs))].tolist()
-        counts, inner = truncate(ColouredDigraph(n, 0, rows), d, p, substream(57, t))
+        counts = truncation_counts(n, p, substream(57, t))
+        inner = truncate(ColouredDigraph(n, 0, rows), d, counts)
         want = substream(57, t).binomial(n - 1, split_probability(p).p1, size=n)
         assert counts.tolist() == want.tolist()
         if inner is None:
@@ -141,3 +148,17 @@ def test_truncate_matches_loop():
         for arc in rows:
             by_tail[arc[0]].append(arc)
         assert inner.arcs.tolist() == [a for v in range(n) for a in by_tail[v][: counts[v]]]
+
+
+def test_truncate_uneven_groups():
+    # tails with no arcs, fewer arcs than d, and counts above a group's size
+    n, d = 15, 4
+    for t in range(60):
+        rows = sample_coloured_digraph(n, 0.15, 5, substream(58, t)).arcs.tolist()
+        counts = substream(59, t).integers(0, d + 1, size=n)
+        inner = truncate(ColouredDigraph(n, 5, rows), d, counts)
+        by_tail: list[list[list[int]]] = [[] for _ in range(n)]
+        for arc in rows:
+            by_tail[arc[0]].append(arc)
+        assert inner.arcs.tolist() == [a for v in range(n) for a in by_tail[v][: counts[v]]]
+    assert truncate(ColouredDigraph(n, 5, rows), d, np.full(n, d + 1)) is None

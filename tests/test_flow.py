@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow
 from scipy.stats import chisquare
 
 from rainbowgraphs.flow import (
+    FlowNetwork,
     HallWitness,
     RainbowDOut,
     build_network,
@@ -69,6 +72,18 @@ def check_hall_bruteforce(d_in, d):
     return False, HallWitness(colours=s, neighbours=neighbours, deficiency=-neg_def)
 
 
+def coo_capacity_matrix(net):
+    """Reference: the capacity matrix assembled from (row, col) triples
+    with int64 capacities, which scipy's max-flow casts to int32."""
+    colours, vertices = net.middle_arcs.T
+    n, d, m, k = net.n, net.d, net.num_nodes, len(colours)
+    colour_nodes, vertex_nodes = np.arange(1, net.kappa + 1), net.vertex_node(np.arange(n))
+    rows = np.concatenate([np.zeros_like(colour_nodes), colours, vertex_nodes])
+    cols = np.concatenate([colour_nodes, net.vertex_node(vertices), np.full(n, net.sink)])
+    caps = np.concatenate([np.ones_like(colour_nodes), np.full(k, d * n), np.full(n, d)])
+    return csr_matrix((caps, (rows, cols)), shape=(m, m))
+
+
 def random_instance(seed, n, kappa, p1):
     return sample_coloured_digraph(n, p1, kappa, substream(seed, "inst"))
 
@@ -98,6 +113,16 @@ class TestBuildNetwork:
             assert len(net.middle_arcs) == len(expected)
             assert {(c, t) for c, t in net.middle_arcs.tolist()} == expected
 
+    def test_rejects_sizes_beyond_int32(self):
+        # scipy's max-flow takes int32: d*n = 2**31 would wrap to a
+        # negative capacity, and so would a sink node past 2**31 - 1
+        one_arc = ColouredDigraph(n=2**30, kappa=1, arcs=((0, 1, 1),))
+        with pytest.raises(ValueError, match="exceeds int32"):
+            build_network(one_arc, 2)
+        many_colours = ColouredDigraph(n=2, kappa=2**31, arcs=((0, 1, 1),))
+        with pytest.raises(ValueError, match="exceeds int32"):
+            build_network(many_colours, 1)
+
     def test_rejects_uncoloured_arcs(self):
         # colour 0 would be the source node: each uncoloured arc would
         # become a source->vertex arc of capacity d*n
@@ -106,6 +131,49 @@ class TestBuildNetwork:
         mixed = ColouredDigraph(n=3, kappa=2, arcs=((0, 1, 0), (1, 0, 1), (2, 0, 2)))
         with pytest.raises(ValueError, match="uncoloured arc with tail 0"):
             build_network(mixed, 1)
+
+
+class TestCapacityMatrix:
+    @staticmethod
+    def assert_same_csr(a, b):
+        assert a.shape == b.shape
+        for field in ("indptr", "indices", "data"):
+            assert getattr(a, field).tolist() == getattr(b, field).tolist(), field
+
+    def assert_matches_reference(self, net):
+        caps = net.capacity_matrix()
+        assert caps.dtype == np.int32
+        assert caps.indices.dtype == caps.indptr.dtype == np.int32
+        self.assert_same_csr(caps, coo_capacity_matrix(net))
+        # column indices ascend within every row, as scipy's solver needs
+        rows = np.repeat(np.arange(net.num_nodes), np.diff(caps.indptr))
+        assert (np.diff(caps.indices)[np.diff(rows) == 0] > 0).all()
+        want = maximum_flow(coo_capacity_matrix(net), net.source, net.sink)
+        value, flow = max_flow(net)
+        assert value == want.flow_value
+        self.assert_same_csr(flow, want.flow)
+
+    def test_empty_middle_arcs(self):
+        self.assert_matches_reference(build_network(ColouredDigraph(n=3, kappa=2, arcs=()), 1))
+
+    def test_colours_without_arcs(self):
+        # colours 1, 3 and 6 carry no arc: their rows are empty
+        d_in = ColouredDigraph(n=3, kappa=6, arcs=((0, 1, 2), (1, 2, 4), (2, 0, 5), (2, 1, 2)))
+        net = build_network(d_in, 2)
+        assert np.diff(net.capacity_matrix().indptr)[[1, 3, 6]].tolist() == [0, 0, 0]
+        self.assert_matches_reference(net)
+
+    def test_random_instances(self):
+        for seed in range(60):
+            n = 2 + seed % 13
+            d_in = random_instance(seed, n, 1 + seed % 3 * n, 0.1 + seed % 5 * 0.2)
+            self.assert_matches_reference(build_network(d_in, 1 + seed % 4))
+        self.assert_matches_reference(build_network(random_instance(0, 300, 900, 0.01), 2))
+
+    def test_hand_built_network(self):
+        # a network given directly, with a vertex no colour reaches
+        net = FlowNetwork(n=4, kappa=3, d=1, middle_arcs=np.array([[1, 0], [1, 3], [3, 1]]))
+        self.assert_matches_reference(net)
 
 
 class TestMaxFlow:

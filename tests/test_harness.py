@@ -3,7 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from rainbowgraphs import harness
+from rainbowgraphs import flow, harness
+from rainbowgraphs.coupling import truncation_counts
 from rainbowgraphs.harness import (
     ExperimentConfig,
     SweepPoint,
@@ -13,6 +14,7 @@ from rainbowgraphs.harness import (
     run_trials,
     wilson_interval,
 )
+from rainbowgraphs.rng import substream
 
 
 def lemma4_config(**kw):
@@ -79,6 +81,43 @@ class TestRunTrials:
         recs = run_trials(cfg)
         assert all(not r.success for r in recs)
         assert any(r.pipeline_verdict == "extraction-failed" for r in recs)
+
+    def test_pipeline_decides_failed_coupling_by_flow_alone(self, monkeypatch):
+        # a trial whose truncation counts exceed d solves its one max-flow
+        # and neither extracts nor shuffles
+        calls = {"flow": 0, "extract": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        flow_counter = counted("flow", flow.max_flow)
+        monkeypatch.setattr(flow, "max_flow", flow_counter)
+        monkeypatch.setattr(harness, "max_flow", flow_counter)
+        monkeypatch.setattr(
+            harness, "extract_via_permutation", counted("extract", harness.extract_via_permutation)
+        )
+        config = ExperimentConfig(
+            n=12, p=0.9, kappa=80, eps=1.0, d=3, trials=1, seed=0, mode="pipeline",
+            target_family="cycle", target_size=12,
+        )
+        p_inner = (2.0 - config.eps) * config.d / config.n
+        verdicts = set()
+        for t in range(240):
+            before = dict(calls)
+            rec = harness._pipeline_trial(config, t)
+            k_max = truncation_counts(12, p_inner, substream(0, t, "pipe-truncate")).max()
+            assert calls["flow"] - before["flow"] == 1
+            assert calls["extract"] - before["extract"] == (k_max <= config.d)
+            if k_max > config.d:
+                assert rec.pipeline_verdict in ("extraction-failed", "coupling-failed")
+            verdicts.add((rec.pipeline_verdict, bool(k_max > config.d)))
+        assert verdicts == {
+            ("extraction-failed", True), ("coupling-failed", True),
+            ("extraction-failed", False), ("no-embedding", False), ("found", False),
+        }
 
     def test_pipeline_needs_target(self):
         with pytest.raises(ValueError):

@@ -1,21 +1,25 @@
-"""Digests of sampler and extraction outputs at scale, recorded before the
-samplers and the extraction were made to sort only what they read.
+"""Digests of sampler, extraction and pipeline outputs, recorded before
+the samplers and the extraction were made to sort only what they read,
+and before the pipeline drew its truncation counts first.
 
 The golden CLI fixtures run at n <= 30 and `trial_lemma4.jsonl` records
 only k_max and the inner arc count, so neither pins the d-out heads or
 the permuted tie-break at n in the hundreds.  These digests do: each is
 the SHA-256 of the output's int64 arc rows, and any change of head, order
-or draw changes it.
+or draw changes it.  The pipeline digest covers 400 trials with all four
+verdicts, where the golden pipeline fixtures hold 24 trials each.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 
 import pytest
 
 from rainbowgraphs.flow import extract_via_permutation
 from rainbowgraphs.graphs import sample_coloured_digraph, sample_d_out
+from rainbowgraphs.harness import ExperimentConfig, records_to_jsonl, run_trials
 from rainbowgraphs.rng import substream
 
 
@@ -51,3 +55,18 @@ def test_extract_via_permutation_at_n400(seed, d, kappa, p1, want):
     d_in = sample_coloured_digraph(400, p1, kappa, substream(seed, "inst"))
     out = extract_via_permutation(d_in, d, substream(seed, "perm"))
     assert out is not None and digest(out.digraph.arcs) == want
+
+
+def test_pipeline_jsonl_at_n12():
+    config = ExperimentConfig(
+        n=12, p=0.9, kappa=80, eps=1.0, d=3, trials=400, seed=0, mode="pipeline",
+        target_family="cycle", target_size=12,
+    )
+    records = run_trials(config)
+    assert Counter(r.pipeline_verdict for r in records) == {
+        "no-embedding": 208, "coupling-failed": 171, "found": 14, "extraction-failed": 7,
+    }
+    jsonl = records_to_jsonl(records).encode()
+    assert hashlib.sha256(jsonl).hexdigest() == (
+        "0a444839ded6b78184b9dadd80f29b53207eda2b1d7ddd272bfd2abc58f0e9de"
+    )
