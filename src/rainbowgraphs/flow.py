@@ -145,9 +145,7 @@ def build_network(d_in: ColouredDigraph, d: int) -> FlowNetwork:
         raise ValueError(f"need d >= 1, got {d}")
     # scipy's max-flow takes int32 capacities and node indices
     if max(d * d_in.n, d_in.kappa + d_in.n + 1) > np.iinfo(np.int32).max:
-        raise ValueError(
-            f"capacity d*n = {d * d_in.n} or sink node {d_in.kappa + d_in.n + 1} exceeds int32"
-        )
+        raise ValueError(f"d*n = {d * d_in.n} or sink node {d_in.kappa + d_in.n + 1} exceeds int32")
     tails, _, colours = d_in.arcs.T
     # sort and drop repeats: numpy 2's hash-table np.unique is ~30x slower here
     keys = np.sort(colours * d_in.n + tails)

@@ -5,7 +5,6 @@ from scipy.sparse.csgraph import maximum_flow
 from scipy.stats import chisquare
 
 from rainbowgraphs.flow import (
-    FlowNetwork,
     HallWitness,
     RainbowDOut,
     build_network,
@@ -169,11 +168,6 @@ class TestCapacityMatrix:
             d_in = random_instance(seed, n, 1 + seed % 3 * n, 0.1 + seed % 5 * 0.2)
             self.assert_matches_reference(build_network(d_in, 1 + seed % 4))
         self.assert_matches_reference(build_network(random_instance(0, 300, 900, 0.01), 2))
-
-    def test_hand_built_network(self):
-        # a network given directly, with a vertex no colour reaches
-        net = FlowNetwork(n=4, kappa=3, d=1, middle_arcs=np.array([[1, 0], [1, 3], [3, 1]]))
-        self.assert_matches_reference(net)
 
 
 class TestMaxFlow:

@@ -86,6 +86,7 @@ class TestRunTrials:
         # a trial whose truncation counts exceed d solves its one max-flow
         # and neither extracts nor shuffles
         calls = {"flow": 0, "extract": 0}
+        tags = []
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -99,6 +100,12 @@ class TestRunTrials:
         monkeypatch.setattr(
             harness, "extract_via_permutation", counted("extract", harness.extract_via_permutation)
         )
+
+        def tagged(*keys):
+            tags.append(keys[-1])
+            return substream(*keys)
+
+        monkeypatch.setattr(harness, "substream", tagged)
         config = ExperimentConfig(
             n=12, p=0.9, kappa=80, eps=1.0, d=3, trials=1, seed=0, mode="pipeline",
             target_family="cycle", target_size=12,
@@ -107,12 +114,14 @@ class TestRunTrials:
         verdicts = set()
         for t in range(240):
             before = dict(calls)
+            tags.clear()
             rec = harness._pipeline_trial(config, t)
             k_max = truncation_counts(12, p_inner, substream(0, t, "pipe-truncate")).max()
             assert calls["flow"] - before["flow"] == 1
             assert calls["extract"] - before["extract"] == (k_max <= config.d)
             if k_max > config.d:
                 assert rec.pipeline_verdict in ("extraction-failed", "coupling-failed")
+                assert tags == ["pipe-sample", "pipe-truncate"]
             verdicts.add((rec.pipeline_verdict, bool(k_max > config.d)))
         assert verdicts == {
             ("extraction-failed", True), ("coupling-failed", True),
