@@ -73,6 +73,8 @@ CASES: dict[str, tuple[list[str], int]] = {
     "search_cycle.txt": (["search", "--graph", GRAPH, "--target", "cycle"], 0),
     "search_path_padded.txt": (["search", "--graph", GRAPH, "--target", "path",
                                 "--size", "5"], 0),
+    "search_tree.txt": (["search", "--graph", GRAPH, "--target", "tree"], 0),
+    "search_tree_none.txt": (["search", "--graph", SPARSE, "--target", "tree"], 1),
 }
 
 # trial and sweep output must also be independent of --jobs

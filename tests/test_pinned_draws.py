@@ -1,13 +1,17 @@
-"""Digests of sampler, extraction and pipeline outputs, recorded before
-the samplers and the extraction were made to sort only what they read,
-and before the pipeline drew its truncation counts first.
+"""Digests of sampler, extraction, pipeline and rainbow-forest outputs,
+recorded before the samplers and the extraction were made to sort only
+what they read, before the pipeline drew its truncation counts first, and
+before `max_rainbow_forest` read its exchange graph off the forest's tree
+paths.
 
 The golden CLI fixtures run at n <= 30 and `trial_lemma4.jsonl` records
 only k_max and the inner arc count, so neither pins the d-out heads or
 the permuted tie-break at n in the hundreds.  These digests do: each is
 the SHA-256 of the output's int64 arc rows, and any change of head, order
 or draw changes it.  The pipeline digest covers 400 trials with all four
-verdicts, where the golden pipeline fixtures hold 24 trials each.
+verdicts, where the golden pipeline fixtures hold 24 trials each.  The
+forest digest covers the index lists of 300 hosts with n = 2..40; no
+golden fixture runs the forest search on a host with more than 7 vertices.
 """
 
 from __future__ import annotations
@@ -15,12 +19,14 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from rainbowgraphs.flow import extract_via_permutation
-from rainbowgraphs.graphs import sample_coloured_digraph, sample_d_out
+from rainbowgraphs.graphs import sample_coloured_digraph, sample_coloured_graph, sample_d_out
 from rainbowgraphs.harness import ExperimentConfig, records_to_jsonl, run_trials
 from rainbowgraphs.rng import substream
+from rainbowgraphs.search import max_rainbow_forest
 
 
 def digest(arcs) -> str:
@@ -70,3 +76,19 @@ def test_pipeline_jsonl_at_n12():
     assert hashlib.sha256(jsonl).hexdigest() == (
         "0a444839ded6b78184b9dadd80f29b53207eda2b1d7ddd272bfd2abc58f0e9de"
     )
+
+
+def test_max_rainbow_forest_lists_up_to_n40():
+    h = hashlib.sha256()
+    sizes = Counter()
+    for i in range(300):
+        rng = substream(61, "forest", i)
+        n = int(rng.integers(2, 41))
+        p = float(rng.choice([0.05, 0.15, 0.3, 0.6, 0.9]))
+        kappa = int(rng.integers(1, 2 * n))
+        chosen = np.array(max_rainbow_forest(sample_coloured_graph(n, p, kappa, rng)), np.int64)
+        # the length first, so the concatenation decodes back to the lists
+        h.update(np.int64(len(chosen)).tobytes() + chosen.tobytes())
+        sizes[len(chosen) == n - 1] += 1
+    assert sizes[True] > 50 and sizes[False] > 50
+    assert h.hexdigest() == "da092c11f42dc66d6d17a3d7866a08490b5fc2d69a8a1760144173007cc3cd06"
