@@ -31,7 +31,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
-from .graphs import ColouredDigraph, PermutationFamily, relabel
+from .graphs import ColouredDigraph, relabel
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,10 +224,7 @@ def extract_rainbow_dout(d_in: ColouredDigraph, d: int) -> RainbowDOut | None:
 
 
 def extract_via_permutation(
-    d_in: ColouredDigraph,
-    d: int,
-    rng: np.random.Generator,
-    family: PermutationFamily | None = None,
+    d_in: ColouredDigraph, d: int, rng: np.random.Generator
 ) -> RainbowDOut | None:
     """Extraction whose tie-break keeps, among a vertex v's heads of the
     assigned colour, the head h of least pi_v(h) under a uniform random
@@ -238,12 +235,7 @@ def extract_via_permutation(
     pi^{-1}: the network, and so the flow, does not depend on the heads.
     pi is `random_permutation_family(n, rng)`, read at the input's arcs
     only: the same rng.random((n, n-1)) keys are drawn and no (n, n)
-    family is built.  A given `family` is used instead, and then nothing
-    is drawn.
+    family is built.
     """
     tails, heads, _ = d_in.arcs.T
-    if family is None:
-        return _extract(d_in, d, relabel(rng.random((d_in.n, d_in.n - 1)), tails, heads))
-    if family.n != d_in.n:
-        raise ValueError(f"family covers {family.n} vertices, digraph has {d_in.n}")
-    return _extract(d_in, d, family.perms[tails, heads])
+    return _extract(d_in, d, relabel(rng.random((d_in.n, d_in.n - 1)), tails, heads))

@@ -3,7 +3,10 @@
 Two finders: a complete backtracking search for a spanning rainbow copy
 of a fixed target graph (n <= 16), and a rainbow spanning tree decision
 by matroid intersection (graphic matroid x one-edge-per-colour partition
-matroid), which is exact where greedy colour exchange is not.
+matroid), which is exact where greedy colour exchange is not.  Each
+augmentation roots the current forest once; an edge outside it may then
+replace a forest edge exactly when that forest edge lies on the tree path
+between the edge's endpoints.
 
 The copy search rejects a host without searching it when its sorted
 degree sequence does not dominate the target's, or when it has fewer
@@ -15,6 +18,7 @@ the search returns the same first embedding as one without them.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,34 +151,41 @@ def find_rainbow_copy_exact(
     return None
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
+def _rooted_forest(n: int, ends: np.ndarray, forest: np.ndarray):
+    """Root every tree of the forest given by the edge indices `forest`
+    into the (m, 2) endpoint rows `ends`, by a DFS from its least vertex.
 
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[rx] = ry
-        return True
-
-
-def _is_forest_with(n: int, edge_idxs: list[int], edges, extra: int | None) -> bool:
-    uf = _UnionFind(n)
-    for i in edge_idxs:
-        u, v, _ = edges[i]
-        if not uf.union(u, v):
-            return False
-    if extra is not None:
-        u, v, _ = edges[extra]
-        return uf.union(u, v)
-    return True
+    Returns tree[v], the root of v's tree; first[v] and last[v], so that
+    v's subtree is the vertices w with first[v] <= first[w] < last[v]; and
+    below, mapping each forest edge to its endpoint farther from the root.
+    """
+    adj = [[] for _ in range(n)]
+    for e, (a, b) in zip(forest.tolist(), ends[forest].tolist()):
+        adj[a].append((b, e))
+        adj[b].append((a, e))
+    tree = [-1] * n
+    parent = [-1] * n
+    below = {}
+    order = []  # preorder: each subtree is a run starting at its root
+    for root in range(n):
+        if tree[root] >= 0:
+            continue
+        tree[root] = root
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            order.append(x)
+            for y, e in adj[x]:
+                if tree[y] < 0:
+                    tree[y], parent[y], below[e] = root, x, y
+                    stack.append(y)
+    size = [1] * n
+    for x in reversed(order):
+        if parent[x] >= 0:
+            size[parent[x]] += size[x]
+    first = np.empty(n, dtype=np.int64)
+    first[order] = np.arange(n)
+    return np.array(tree), first, first + size, below
 
 
 def max_rainbow_forest(g: ColouredGraph) -> list[int]:
@@ -182,65 +193,61 @@ def max_rainbow_forest(g: ColouredGraph) -> list[int]:
     partition matroid of its colour classes, as edge indices.
 
     Standard matroid-intersection augmentation: repeatedly BFS a shortest
-    path in the exchange digraph from the edges addable to the forest to
-    the edges addable colour-wise, and flip the path.
+    path in the exchange digraph from the edges addable to the forest I to
+    the edges addable colour-wise, and flip the path.  The forest side of
+    the exchange digraph is read off one rooting of I per augmentation
+    (Cunningham 1986): z not in I is a source when its endpoints lie in
+    different trees of I, and otherwise closes one cycle with I, so
+    I - y + z is a forest exactly when y lies on the tree path between
+    z's endpoints, that is, when exactly one endpoint of z lies in the
+    subtree below y.  Every source is reached before the BFS starts, so
+    only the second kind of z is left to find from a forest edge y.
     """
-    edges = g.edges.tolist()
-    m = len(edges)
-    in_set = [False] * m
+    ends, colour = g.edges[:, :2], g.edges[:, 2]
+    in_set = np.zeros(len(ends), dtype=bool)
 
     while True:
-        current = [i for i in range(m) if in_set[i]]
-        colours_used = {edges[i][2] for i in current}
-        colour_of_in = {edges[i][2]: i for i in current}
-        sources = [
-            i for i in range(m)
-            if not in_set[i] and _is_forest_with(g.n, current, edges, i)
-        ]
-        sinks = {
-            i for i in range(m)
-            if not in_set[i] and edges[i][2] not in colours_used
-        }
-        if not sources:
+        forest = np.flatnonzero(in_set)
+        tree, first, last, below = _rooted_forest(g.n, ends, forest)
+        holder = np.full(g.kappa + 1, -1)  # the forest edge of each colour
+        holder[colour[forest]] = forest
+        outside = ~in_set
+        sources = outside & (tree[ends[:, 0]] != tree[ends[:, 1]])
+        sinks = outside & (holder[colour] < 0)
+        if not sources.any():
             break
         # BFS over the exchange digraph; shortest augmenting path is valid
-        prev: dict[int, int | None] = {i: None for i in sources}
-        queue = list(sources)
-        found = None
-        for i in sources:
-            if i in sinks:
-                found = i
-                break
+        prev = np.where(sources, -1, -2)  # -1: a source, -2: not reached
+        queue = deque(np.flatnonzero(sources).tolist())
+        hits = np.flatnonzero(sources & sinks)
+        found = int(hits[0]) if len(hits) else None
+        pos = first[ends]
         while queue and found is None:
-            x = queue.pop(0)
+            x = queue.popleft()
             if in_set[x]:
                 # y in I -> z not in I with I - y + z a forest
-                rest = [i for i in current if i != x]
-                for z in range(m):
-                    if in_set[z] or z in prev:
-                        continue
-                    if _is_forest_with(g.n, rest, edges, z):
-                        prev[z] = x
-                        if z in sinks:
-                            found = z
-                            break
-                        queue.append(z)
+                lo, hi = first[below[x]], last[below[x]]
+                inside = (lo <= pos) & (pos < hi)
+                crossing = outside & (inside[:, 0] != inside[:, 1])
+                for z in np.flatnonzero(crossing & (prev == -2)).tolist():
+                    prev[z] = x
+                    if sinks[z]:
+                        found = z
+                        break
+                    queue.append(z)
             else:
                 # z not in I -> y in I with I - y + z colour-independent
-                y = colour_of_in.get(edges[x][2])
-                if y is not None and y not in prev:
+                y = int(holder[colour[x]])
+                if y >= 0 and prev[y] == -2:
                     prev[y] = x
                     queue.append(y)
         if found is None:
             break
-        path = []
-        node: int | None = found
-        while node is not None:
-            path.append(node)
+        node = found
+        while node >= 0:
+            in_set[node] = not in_set[node]
             node = prev[node]
-        for i in path:
-            in_set[i] = not in_set[i]
-    return [i for i in range(m) if in_set[i]]
+    return np.flatnonzero(in_set).tolist()
 
 
 def find_rainbow_spanning_tree(g: ColouredGraph) -> RainbowEmbedding | None:
@@ -255,14 +262,4 @@ def find_rainbow_spanning_tree(g: ColouredGraph) -> RainbowEmbedding | None:
     return RainbowEmbedding(
         vertex_map=tuple(range(g.n)),
         edge_images=tuple(images),
-    )
-
-
-def tree_target_from_embedding(g: ColouredGraph, emb: RainbowEmbedding) -> TargetGraph:
-    """The spanning tree found by `find_rainbow_spanning_tree`, as a target
-    graph, so the embedding can be audited with `verify_embedding`."""
-    return TargetGraph(
-        name=f"tree{g.n}",
-        n_H=g.n,
-        edges=tuple(sorted(e for e, _ in emb.edge_images)),
     )

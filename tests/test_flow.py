@@ -24,11 +24,6 @@ from rainbowgraphs.graphs import (
 from rainbowgraphs.rng import substream
 
 
-def identity_permutation_family(n):
-    """The family with every pi_v the identity on [n] \\ {v}."""
-    return PermutationFamily(np.tile(np.arange(n), (n, 1)))
-
-
 def inverse(f):
     """The family of the inverse permutations pi_v^-1."""
     return PermutationFamily(np.argsort(f.perms, axis=1))
@@ -359,15 +354,6 @@ class TestExtraction:
 
 
 class TestExtractViaPermutation:
-    def test_identity_family_matches_plain(self):
-        d_in = random_instance(3, 6, 12, 0.8)
-        plain = extract_rainbow_dout(d_in, 1)
-        via = extract_via_permutation(
-            d_in, 1, substream(0), family=identity_permutation_family(6)
-        )
-        assert plain is not None and via is not None
-        assert via.digraph == plain.digraph
-
     def test_matches_relabel_extract_and_map_back(self):
         # the round trip the head ranking replaces: relabel every head by
         # pi, extract, then map the heads back through pi^-1
@@ -375,7 +361,7 @@ class TestExtractViaPermutation:
         for seed in range(100):
             d_in = random_instance(seed, 7, 20, 0.8)
             f = random_permutation_family(7, substream(seed, "f"))
-            via = extract_via_permutation(d_in, 2, substream(0), family=f)
+            via = extract_via_permutation(d_in, 2, substream(seed, "f"))
             plain = extract_rainbow_dout(apply_permutations(d_in, f), 2)
             assert (via is None) == (plain is None)
             if via is not None:
@@ -397,8 +383,10 @@ class TestExtractViaPermutation:
             d_in = random_instance(seed, n, kappa, p1)
             via = extract_via_permutation(d_in, d, substream(seed, "p"))
             family = random_permutation_family(n, substream(seed, "p"))
-            assert via == extract_via_permutation(d_in, d, substream(0), family=family)
+            plain = extract_rainbow_dout(apply_permutations(d_in, family), d)
+            assert (via is None) == (plain is None)
             if via is not None:
+                assert via.digraph == apply_permutations(plain.digraph, inverse(family))
                 feasible += 1
                 tied += via.digraph != extract_rainbow_dout(d_in, d).digraph
         assert feasible > 250 and tied > 200

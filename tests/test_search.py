@@ -9,7 +9,6 @@ from rainbowgraphs.search import (
     find_rainbow_copy_exact,
     find_rainbow_spanning_tree,
     max_rainbow_forest,
-    tree_target_from_embedding,
     verify_embedding,
 )
 from rainbowgraphs.targets import (
@@ -134,6 +133,87 @@ def rainbow_tree_oracle(g):
         if acyclic:
             return True
     return False
+
+
+def tree_target_from_embedding(g, emb):
+    """The spanning tree found by `find_rainbow_spanning_tree`, as a target
+    graph, so the embedding can be audited with `verify_embedding`."""
+    return TargetGraph(
+        name=f"tree{g.n}",
+        n_H=g.n,
+        edges=tuple(sorted(e for e, _ in emb.edge_images)),
+    )
+
+
+def union_find_rainbow_forest(g):
+    """The matroid-intersection search with a fresh union-find for every
+    candidate exchange: the BFS visits sources, then forest arcs y -> z and
+    colour arcs in the same order as `max_rainbow_forest`, so its index
+    list is the one the tree-path exchange graph must give."""
+    edges = g.edges.tolist()
+    m = len(edges)
+    in_set = [False] * m
+
+    def is_forest_with(edge_idxs, extra):
+        parent = list(range(g.n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for i in [*edge_idxs, extra]:
+            ru, rv = find(edges[i][0]), find(edges[i][1])
+            if ru == rv:
+                return False
+            parent[ru] = rv
+        return True
+
+    while True:
+        current = [i for i in range(m) if in_set[i]]
+        colours_used = {edges[i][2] for i in current}
+        colour_of_in = {edges[i][2]: i for i in current}
+        sources = [i for i in range(m) if not in_set[i] and is_forest_with(current, i)]
+        sinks = {i for i in range(m) if not in_set[i] and edges[i][2] not in colours_used}
+        if not sources:
+            break
+        prev = {i: None for i in sources}
+        queue = list(sources)
+        found = next((i for i in sources if i in sinks), None)
+        while queue and found is None:
+            x = queue.pop(0)
+            if in_set[x]:
+                rest = [i for i in current if i != x]
+                for z in range(m):
+                    if in_set[z] or z in prev:
+                        continue
+                    if is_forest_with(rest, z):
+                        prev[z] = x
+                        if z in sinks:
+                            found = z
+                            break
+                        queue.append(z)
+            else:
+                y = colour_of_in.get(edges[x][2])
+                if y is not None and y not in prev:
+                    prev[y] = x
+                    queue.append(y)
+        if found is None:
+            break
+        node = found
+        while node is not None:
+            in_set[node] = not in_set[node]
+            node = prev[node]
+    return [i for i in range(m) if in_set[i]]
+
+
+def two_component_host(n, kappa, rng):
+    """A random host whose vertices [0, n//2) and [n//2, n) share no edge."""
+    g = sample_coloured_graph(n, 0.7, kappa, rng)
+    half = n // 2
+    keep = [row for row in g.edges.tolist() if (row[0] < half) == (row[1] < half)]
+    return ColouredGraph(n=n, kappa=kappa, edges=keep)
 
 
 def rainbow_k4(kappa=6):
@@ -304,6 +384,34 @@ class TestFindRainbowSpanningTree:
                 assert verify_embedding(g, tree_target_from_embedding(g, emb), emb)
             verdicts[want] += 1
         assert verdicts[True] > 20 and verdicts[False] > 20
+
+    def test_max_forest_matches_union_find_reference(self):
+        rng = substream(37)
+        kinds = {"empty": 0, "one colour": 0, "two components": 0, "random": 0}
+        hosts = []
+        for trial in range(400):
+            n = int(rng.integers(1, 17))
+            kind = trial % 8
+            if kind == 0:
+                hosts.append(("empty", ColouredGraph(n=n, kappa=3, edges=[])))
+            elif kind == 1:
+                hosts.append(("one colour", sample_coloured_graph(n, 0.6, 1, rng)))
+            elif kind == 2:
+                hosts.append(("two components", two_component_host(n, int(rng.integers(1, 2 * n + 1)), rng)))
+            else:
+                p = float(rng.choice([0.1, 0.3, 0.5, 0.8]))
+                kappa = int(rng.integers(max(1, n - 3), n + 4))
+                hosts.append(("random", sample_coloured_graph(n, p, kappa, rng)))
+        for n in (30, 35, 40):
+            hosts.append(("random", sample_coloured_graph(n, 0.5, n - 1, rng)))
+            hosts.append(("two components", two_component_host(n, n - 1, rng)))
+        sizes = set()
+        for kind, g in hosts:
+            chosen = max_rainbow_forest(g)
+            assert chosen == union_find_rainbow_forest(g)
+            kinds[kind] += 1
+            sizes.add(len(chosen))
+        assert min(kinds.values()) >= 50 and len(sizes) > 15
 
     def test_max_forest_partial(self):
         # disconnected host: the best common independent set is smaller
