@@ -7,7 +7,13 @@ vertex->sink arcs have capacity d.  A flow of value d*n decomposes into
 d*n unit paths, each assigning a colour to a vertex; picking one input arc
 per assignment yields a digraph with out-degree d everywhere and globally
 distinct arc colours.  Each colour is assigned to at most one vertex, so
-one lookup indexed by colour finds the arcs of the assignments.  Where a
+`max_flow` describes a flow by `owner`, the vertex each colour's unit
+reaches (-1 for none), and one lookup indexed by colour finds the arcs of
+the assignments.  `max_flow` runs Dinic's first phase itself: colours in
+ascending order each send their unit to the smallest adjacent vertex that
+still has room.  When that phase fills every vertex its flow is maximum,
+and it is the flow scipy's Dinic solver returns on the same matrix;
+otherwise scipy's `maximum_flow` finishes the solve.  Where a
 vertex has several arcs of its assigned colour, the decomposition keeps
 the head of least rank: the head itself in `extract_rainbow_dout`, its
 image under a random per-vertex relabelling in
@@ -17,10 +23,10 @@ tail) pairs, so the relabelling changes that tie-break and nothing else.
 The flow value equals d*n exactly when every colour set S satisfies the
 cut condition kappa - |S| + d*|N(S)| >= d*n, where N(S) is the set of
 tails carrying a colour of S.  When the value falls short, the nodes
-reachable from the source in the residual network form the smallest
-source side of a minimum cut; its colour nodes are a colour set S of
-maximum deficiency, contained in every other one, and `hall_witness`
-returns it as the certificate, at any kappa.
+reachable from the source in the residual network (built from `owner`)
+form the smallest source side of a minimum cut; its colour nodes are a
+colour set S of maximum deficiency, contained in every other one, and
+`hall_witness` returns it as the certificate, at any kappa.
 """
 
 from __future__ import annotations
@@ -156,22 +162,92 @@ def build_network(d_in: ColouredDigraph, d: int) -> FlowNetwork:
     return FlowNetwork(n=d_in.n, kappa=d_in.kappa, d=d, middle_arcs=pairs)
 
 
-def max_flow(net: FlowNetwork) -> tuple[int, csr_matrix]:
-    """Exact integer max-flow; returns the value and the node-by-node flow
-    matrix (an arc's reverse entry holds its flow negated)."""
-    res = maximum_flow(net.capacity_matrix(), net.source, net.sink)
-    return int(res.flow_value), res.flow
+def max_flow(net: FlowNetwork) -> tuple[int, np.ndarray]:
+    """Exact integer max-flow; returns the value and `owner`, indexed by
+    colour: owner[c] is the vertex that colour c's unit of flow reaches,
+    or -1 when c carries none (owner[0], the source's slot, is -1).
+    Source caps of 1 let each colour carry at most one unit, so `owner`
+    fixes the whole flow: source->c and c->owner[c] carry 1, and v->sink
+    carries the number of colours v owns.
+
+    Dinic's first phase runs here, on `net.capacity_matrix()`: colours in
+    ascending order each send their unit to the smallest adjacent vertex
+    that still has room.  When that saturates every vertex it is the
+    final flow scipy's Dinic solver would return, and scipy is not
+    called; otherwise scipy's `maximum_flow` solves the same matrix and
+    `owner` is read off its flow.
+    """
+    caps = net.capacity_matrix()
+    owner = _first_phase(net, caps)
+    if owner is not None:
+        return net.d * net.n, owner
+    res = maximum_flow(caps, net.source, net.sink)
+    # Positive entries in colour rows are the flows on middle arcs (the
+    # reverse entries of source arcs are negative).
+    flow, first, last = res.flow, net.colour_node(1), net.vertex_node(0)
+    span = slice(flow.indptr[first], flow.indptr[last])
+    row_colours = np.repeat(np.arange(1, net.kappa + 1), np.diff(flow.indptr[first : last + 1]))
+    positive = flow.data[span] > 0
+    owner = np.full(net.kappa + 1, -1)
+    owner[row_colours[positive]] = flow.indices[span][positive] - last
+    return int(res.flow_value), owner
+
+
+def _first_phase(net: FlowNetwork, caps: csr_matrix) -> np.ndarray | None:
+    """The owners after Dinic's first phase (one blocking-flow path
+    source->c->v->sink per colour c, tried in CSR order), or None when
+    that phase leaves some vertex short of d units."""
+    kappa, d, base = net.kappa, net.d, net.vertex_node(0)
+    slack = kappa - d * net.n  # colours that may go unassigned
+    ptr, nodes = caps.indptr[1 : kappa + 2].tolist(), memoryview(caps.indices)
+    # fewer than d*n colours, or a vertex adjacent to fewer than d, leave a
+    # vertex short under any flow
+    if slack < 0 or np.bincount(caps.indices[ptr[0] : ptr[-1]], minlength=net.sink)[base:].min() < d:
+        return None
+    room = [d] * net.num_nodes  # indexed by vertex node
+    owner = [-1] * (kappa + 1)
+    left = d * net.n
+    for c in range(1, kappa + 1):
+        for v in nodes[ptr[c - 1] : ptr[c]]:
+            if room[v]:
+                break
+        else:
+            slack -= 1
+            if slack < 0:
+                return None
+            continue
+        room[v] -= 1
+        owner[c] = v - base
+        left -= 1
+        if not left:
+            break
+    return np.array(owner)
 
 
 def hall_witness(d_in: ColouredDigraph, d: int) -> HallWitness | None:
     """The colour set of maximum deficiency that lies inside all others, so
     the smallest, or None when the max-flow value reaches d*n.  Colours
-    and neighbours come in ascending order."""
+    and neighbours come in ascending order.
+
+    A value short of d*n means the first phase left a vertex short, so
+    the owners are those of the flow scipy's solver finished.  Their
+    residual network has the arcs source -> each unassigned colour,
+    colour -> every adjacent vertex (a middle arc's flow of at most 1
+    stays below its capacity d*n when the value falls short), and
+    vertex -> each colour it owns.
+    """
     net = build_network(d_in, d)
-    value, flow = max_flow(net)
+    value, owner = max_flow(net)
     if value >= d * d_in.n:
         return None
-    residual = (net.capacity_matrix() - flow) > 0
+    colours, vertices = net.middle_arcs.T
+    assigned = np.flatnonzero(owner >= 0)
+    unassigned = np.flatnonzero(owner[1:] < 0) + 1
+    rows = np.concatenate([np.zeros_like(unassigned), colours, net.vertex_node(owner[assigned])])
+    cols = np.concatenate([unassigned, net.vertex_node(vertices), assigned])
+    residual = csr_matrix(
+        (np.ones(len(rows), bool), (rows, cols)), shape=(net.num_nodes, net.num_nodes)
+    )
     # sorted: the source, colours, then vertices (a maximum flow cuts off the sink)
     reached = np.sort(breadth_first_order(residual, net.source, return_predecessors=False))
     split = np.searchsorted(reached, net.vertex_node(0))
@@ -179,22 +255,9 @@ def hall_witness(d_in: ColouredDigraph, d: int) -> HallWitness | None:
     return HallWitness(tuple(reached[1:split].tolist()), tuple(neighbours.tolist()), d * d_in.n - value)
 
 
-def _decompose(
-    net: FlowNetwork, flow: csr_matrix, d_in: ColouredDigraph, d: int, head_rank: np.ndarray
-) -> RainbowDOut:
-    # Source caps of 1 force every middle arc's flow into {0, 1}, so each
-    # unit path is just a saturated (colour, vertex) middle arc, and each
-    # colour is assigned to at most one tail.  Positive entries in colour
-    # rows are the flows on middle arcs (the reverse entries of source arcs
-    # are negative).
-    n, ptr, first, last = d_in.n, flow.indptr, net.colour_node(1), net.vertex_node(0)
-    span = slice(ptr[first], ptr[last])
-    row_colours = np.repeat(np.arange(1, net.kappa + 1), np.diff(ptr[first : last + 1]))
-    positive = flow.data[span] > 0
-    # owner[c] is the tail colour c is assigned to, -1 when unassigned; one
-    # lookup per arc finds the arcs of the assigned (colour, tail) pairs
-    owner = np.full(net.kappa + 1, -1)
-    owner[row_colours[positive]] = flow.indices[span][positive] - last
+def _decompose(owner: np.ndarray, d_in: ColouredDigraph, d: int, head_rank: np.ndarray) -> RainbowDOut:
+    # Each colour is assigned to at most one tail, so one lookup per arc
+    # finds the arcs of the assigned (colour, tail) pairs.
     used = np.flatnonzero(owner[d_in.arcs[:, 2]] == d_in.arcs[:, 0])
     tails, _, colours = d_in.arcs[used].T
     # Sorting by (tail, colour, head rank) puts each assigned pair's arc of
@@ -202,15 +265,15 @@ def _decompose(
     # colour by colour.
     order = np.lexsort((head_rank[used], colours, tails))
     used = used[order[np.diff(colours[order], prepend=-1) != 0]]
-    return RainbowDOut(ColouredDigraph(n, d_in.kappa, d_in.arcs[used]), d)
+    return RainbowDOut(ColouredDigraph(d_in.n, d_in.kappa, d_in.arcs[used]), d)
 
 
 def _extract(d_in: ColouredDigraph, d: int, head_rank: np.ndarray) -> RainbowDOut | None:
     net = build_network(d_in, d)
-    value, flow = max_flow(net)
+    value, owner = max_flow(net)
     if value < d * d_in.n:
         return None
-    return _decompose(net, flow, d_in, d, head_rank)
+    return _decompose(owner, d_in, d, head_rank)
 
 
 def extract_rainbow_dout(d_in: ColouredDigraph, d: int) -> RainbowDOut | None:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 from scipy.stats import chisquare
 
+from rainbowgraphs import flow
 from rainbowgraphs.flow import (
     HallWitness,
     RainbowDOut,
@@ -20,6 +21,7 @@ from rainbowgraphs.graphs import (
     random_permutation_family,
     sample_coloured_digraph,
     sample_d_out,
+    split_probability,
 )
 from rainbowgraphs.rng import substream
 
@@ -78,6 +80,60 @@ def coo_capacity_matrix(net):
     return csr_matrix((caps, (rows, cols)), shape=(m, m))
 
 
+def first_phase(net):
+    """Reference: Dinic's first phase on the three-layer network as a plain
+    loop, colours ascending, each taking the smallest adjacent vertex with
+    room.  Returns the owners and whether every vertex is saturated."""
+    room = [net.d] * net.n
+    owner = [-1] * (net.kappa + 1)
+    for c, v in net.middle_arcs.tolist():  # sorted by colour, then vertex
+        if owner[c] < 0 and room[v]:
+            room[v] -= 1
+            owner[c] = v
+    return owner, not any(room)
+
+
+def owner_flow(net, owner):
+    """The flow `owner` implies, one entry per arc: source->c and
+    c->owner[c] carry 1 for every assigned colour c, v->sink the number
+    of colours v owns."""
+    colours = np.flatnonzero(owner >= 0)
+    vertex_nodes = net.vertex_node(np.arange(net.n))
+    rows = np.concatenate([np.zeros_like(colours), colours, vertex_nodes])
+    cols = np.concatenate([colours, net.vertex_node(owner[colours]), np.full(net.n, net.sink)])
+    units = np.concatenate([np.ones(2 * len(colours), int), np.bincount(owner[colours], minlength=net.n)])
+    return csr_matrix((units, (rows, cols)), shape=(net.num_nodes, net.num_nodes))
+
+
+def assert_flow_is_scipys(net, value, owner):
+    """The flow `owner` implies respects the capacities and equals scipy's
+    max-flow on the reference capacity matrix arc for arc (scipy stores
+    each arc's flow negated at its reverse entry)."""
+    assert owner.shape == (net.kappa + 1,) and owner[0] == -1
+    assert ((owner >= -1) & (owner < net.n)).all()
+    forward = owner_flow(net, owner)
+    assert ((net.capacity_matrix() - forward).data >= 0).all()
+    want = maximum_flow(coo_capacity_matrix(net), net.source, net.sink)
+    assert value == want.flow_value == forward[net.source].sum()
+    assert (forward - forward.T - want.flow).count_nonzero() == 0
+
+
+def scipy_hall_witness(d_in, d):
+    """Reference: the witness read off the residual of scipy's flow matrix."""
+    net = build_network(d_in, d)
+    caps = coo_capacity_matrix(net)
+    res = maximum_flow(caps, net.source, net.sink)
+    if res.flow_value >= d * d_in.n:
+        return None
+    residual = (caps - res.flow) > 0
+    reached = np.sort(breadth_first_order(residual, net.source, return_predecessors=False))
+    split = np.searchsorted(reached, net.vertex_node(0))
+    neighbours = reached[split:] - net.vertex_node(0)
+    return HallWitness(
+        tuple(reached[1:split].tolist()), tuple(neighbours.tolist()), d * d_in.n - res.flow_value
+    )
+
+
 def random_instance(seed, n, kappa, p1):
     return sample_coloured_digraph(n, p1, kappa, substream(seed, "inst"))
 
@@ -134,7 +190,10 @@ class TestCapacityMatrix:
         for field in ("indptr", "indices", "data"):
             assert getattr(a, field).tolist() == getattr(b, field).tolist(), field
 
-    def assert_matches_reference(self, net):
+    def assert_matches_reference(self, net, scipy_calls):
+        """Checks the CSR against the reference, then the flow against
+        scipy's; scipy must run exactly when the reference first phase
+        leaves a vertex short.  Returns whether it saturated."""
         caps = net.capacity_matrix()
         assert caps.dtype == np.int32
         assert caps.indices.dtype == caps.indptr.dtype == np.int32
@@ -142,27 +201,54 @@ class TestCapacityMatrix:
         # column indices ascend within every row, as scipy's solver needs
         rows = np.repeat(np.arange(net.num_nodes), np.diff(caps.indptr))
         assert (np.diff(caps.indices)[np.diff(rows) == 0] > 0).all()
-        want = maximum_flow(coo_capacity_matrix(net), net.source, net.sink)
-        value, flow = max_flow(net)
-        assert value == want.flow_value
-        self.assert_same_csr(flow, want.flow)
+        before = len(scipy_calls)
+        value, owner = max_flow(net)
+        phase_owner, saturated = first_phase(net)
+        assert len(scipy_calls) - before == (not saturated)
+        if saturated:
+            assert owner.tolist() == phase_owner
+        assert_flow_is_scipys(net, value, owner)
+        return saturated
 
-    def test_empty_middle_arcs(self):
-        self.assert_matches_reference(build_network(ColouredDigraph(n=3, kappa=2, arcs=()), 1))
+    @pytest.fixture
+    def scipy_calls(self, monkeypatch):
+        calls = []
 
-    def test_colours_without_arcs(self):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return maximum_flow(*args, **kwargs)
+
+        monkeypatch.setattr(flow, "maximum_flow", counted)
+        return calls
+
+    def test_empty_middle_arcs(self, scipy_calls):
+        net = build_network(ColouredDigraph(n=3, kappa=2, arcs=()), 1)
+        assert not self.assert_matches_reference(net, scipy_calls)
+
+    def test_colours_without_arcs(self, scipy_calls):
         # colours 1, 3 and 6 carry no arc: their rows are empty
         d_in = ColouredDigraph(n=3, kappa=6, arcs=((0, 1, 2), (1, 2, 4), (2, 0, 5), (2, 1, 2)))
         net = build_network(d_in, 2)
         assert np.diff(net.capacity_matrix().indptr)[[1, 3, 6]].tolist() == [0, 0, 0]
-        self.assert_matches_reference(net)
+        self.assert_matches_reference(net, scipy_calls)
 
-    def test_random_instances(self):
-        for seed in range(60):
-            n = 2 + seed % 13
-            d_in = random_instance(seed, n, 1 + seed % 3 * n, 0.1 + seed % 5 * 0.2)
-            self.assert_matches_reference(build_network(d_in, 1 + seed % 4))
-        self.assert_matches_reference(build_network(random_instance(0, 300, 900, 0.01), 2))
+    def test_random_instances(self, scipy_calls):
+        rng = substream(0, "flow-vs-scipy")
+        saturated = []
+        for seed in range(2000):
+            n = int(rng.integers(2, 41))
+            kappa = int(rng.integers(1, 4 * n + 1))
+            p1 = float(rng.choice([0.05, 0.1, 0.3, 0.5, 0.7, 0.9]))
+            net = build_network(random_instance(seed, n, kappa, p1), int(rng.integers(1, 5)))
+            saturated.append(self.assert_matches_reference(net, scipy_calls))
+        # both branches: the first phase alone, and scipy finishing the solve
+        assert 100 < sum(saturated) < 1900
+        net = build_network(random_instance(0, 300, 900, 0.01), 2)
+        assert not self.assert_matches_reference(net, scipy_calls)
+        # the lemma3 benchmark's size: n=1000, d=2, p=0.3, kappa=3000
+        p1 = split_probability(0.3).p1
+        net = build_network(random_instance(1, 1000, 3000, p1), 2)
+        assert self.assert_matches_reference(net, scipy_calls)
 
 
 class TestMaxFlow:
@@ -175,21 +261,19 @@ class TestMaxFlow:
             d_in = random_instance(seed, 6, 8, 0.5)
             net = build_network(d_in, 1)
             caps = net.capacity_matrix()
-            value, flow = max_flow(net)
+            value, owner = max_flow(net)
             inflow = {v: 0 for v in range(net.num_nodes)}
             outflow = {v: 0 for v in range(net.num_nodes)}
-            coo = flow.tocoo()
+            coo = owner_flow(net, owner).tocoo()
             for i, j, f in zip(coo.row, coo.col, coo.data):
-                if f > 0:
-                    assert f <= caps[i, j]
-                    outflow[i] += f
-                    inflow[j] += f
-                else:  # the reverse entry of a used arc
-                    assert flow[j, i] == -f
+                assert 0 <= f <= caps[i, j]
+                outflow[i] += f
+                inflow[j] += f
             for v in range(net.num_nodes):
                 if v not in (net.source, net.sink):
                     assert inflow[v] == outflow[v]
             assert outflow[net.source] == value == inflow[net.sink]
+            assert_flow_is_scipys(net, value, owner)
 
     def test_monotone_under_arc_addition(self):
         for seed in range(20):
@@ -263,6 +347,7 @@ class TestHallWitness:
         assert value < 2000
         witness.check(d_in, 2)
         assert witness.deficiency == 2000 - value
+        assert witness == scipy_hall_witness(d_in, 2)
 
     def test_none_exactly_when_flow_is_full_above_cap(self):
         infeasible = 0
@@ -279,6 +364,19 @@ class TestHallWitness:
                 assert witness.deficiency == d * n - value
                 infeasible += 1
         assert 10 < infeasible < 60
+
+    def test_matches_scipy_residual_reference(self):
+        # kappa from 23 up, past what the 2**kappa oracle can enumerate
+        rng = substream(0, "hall-vs-scipy")
+        infeasible = 0
+        for _ in range(300):
+            n, d = int(rng.integers(3, 41)), int(rng.integers(1, 4))
+            kappa = int(rng.integers(HALL_KAPPA_CAP + 1, max(HALL_KAPPA_CAP + 2, 3 * d * n)))
+            d_in = sample_coloured_digraph(n, float(rng.choice([0.05, 0.2, 0.5])), kappa, rng)
+            witness = hall_witness(d_in, d)
+            assert witness == scipy_hall_witness(d_in, d)
+            infeasible += witness is not None
+        assert 50 < infeasible < 250
 
 
 class TestHallWitnessCheck:

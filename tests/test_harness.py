@@ -15,6 +15,7 @@ from rainbowgraphs.harness import (
     wilson_interval,
 )
 from rainbowgraphs.rng import substream
+from test_flow import first_phase
 
 
 def lemma4_config(**kw):
@@ -84,8 +85,15 @@ class TestRunTrials:
 
     def test_pipeline_decides_failed_coupling_by_flow_alone(self, monkeypatch):
         # a trial whose truncation counts exceed d solves its one max-flow
-        # and neither extracts nor shuffles
-        calls = {"flow": 0, "extract": 0}
+        # and neither extracts nor shuffles; scipy's solver runs only on the
+        # networks whose first phase leaves a vertex short
+        config = ExperimentConfig(
+            n=12, p=0.9, kappa=80, eps=1.0, d=3, trials=1, seed=0, mode="pipeline",
+            target_family="cycle", target_size=12,
+        )
+        want = [harness._pipeline_trial(config, t).to_json() for t in range(240)]
+        calls = {"flow": 0, "extract": 0, "scipy": 0}
+        short = []
         tags = []
 
         def counted(key, fn):
@@ -94,9 +102,15 @@ class TestRunTrials:
                 return fn(*args, **kwargs)
             return wrapper
 
-        flow_counter = counted("flow", flow.max_flow)
+        counted_flow = counted("flow", flow.max_flow)
+
+        def flow_counter(net):
+            short.append(not first_phase(net)[1])
+            return counted_flow(net)
+
         monkeypatch.setattr(flow, "max_flow", flow_counter)
         monkeypatch.setattr(harness, "max_flow", flow_counter)
+        monkeypatch.setattr(flow, "maximum_flow", counted("scipy", flow.maximum_flow))
         monkeypatch.setattr(
             harness, "extract_via_permutation", counted("extract", harness.extract_via_permutation)
         )
@@ -106,18 +120,16 @@ class TestRunTrials:
             return substream(*keys)
 
         monkeypatch.setattr(harness, "substream", tagged)
-        config = ExperimentConfig(
-            n=12, p=0.9, kappa=80, eps=1.0, d=3, trials=1, seed=0, mode="pipeline",
-            target_family="cycle", target_size=12,
-        )
         p_inner = (2.0 - config.eps) * config.d / config.n
         verdicts = set()
         for t in range(240):
             before = dict(calls)
             tags.clear()
             rec = harness._pipeline_trial(config, t)
+            assert rec.to_json() == want[t]
             k_max = truncation_counts(12, p_inner, substream(0, t, "pipe-truncate")).max()
             assert calls["flow"] - before["flow"] == 1
+            assert calls["scipy"] - before["scipy"] == short[-1]
             assert calls["extract"] - before["extract"] == (k_max <= config.d)
             if k_max > config.d:
                 assert rec.pipeline_verdict in ("extraction-failed", "coupling-failed")
@@ -127,6 +139,7 @@ class TestRunTrials:
             ("extraction-failed", True), ("coupling-failed", True),
             ("extraction-failed", False), ("no-embedding", False), ("found", False),
         }
+        assert 0 < calls["scipy"] == sum(short) < calls["flow"] == 240
 
     def test_pipeline_needs_target(self):
         with pytest.raises(ValueError):
