@@ -9,11 +9,14 @@ per assignment yields a digraph with out-degree d everywhere and globally
 distinct arc colours.  Each colour is assigned to at most one vertex, so
 `max_flow` describes a flow by `owner`, the vertex each colour's unit
 reaches (-1 for none), and one lookup indexed by colour finds the arcs of
-the assignments.  `max_flow` runs Dinic's first phase itself: colours in
-ascending order each send their unit to the smallest adjacent vertex that
-still has room.  When that phase fills every vertex its flow is maximum,
-and it is the flow scipy's Dinic solver returns on the same matrix;
-otherwise scipy's `maximum_flow` finishes the solve.  Where a
+the assignments.  `max_flow` runs Dinic's algorithm itself, scanning arcs
+in the order of scipy's Dinic solver, so it returns that solver's flow.
+In the first phase colours in ascending order each send their unit to
+the smallest adjacent vertex that still has room; when that leaves a
+vertex short, the later phases augment along paths that reassign owned
+colours.  Only a network with fewer than d*n colours, or with a vertex
+adjacent to fewer than d, goes to scipy's `maximum_flow`; no flow fills
+such a network.  Where a
 vertex has several arcs of its assigned colour, the decomposition keeps
 the head of least rank: the head itself in `extract_rainbow_dout`, its
 image under a random per-vertex relabelling in
@@ -146,12 +149,17 @@ class RainbowDOut:
             raise AssertionError("extracted arc not present in source digraph")
 
 
+def check_network_size(n: int, kappa: int, d: int) -> None:
+    """Raise ValueError unless the network of an n-vertex, kappa-colour
+    digraph fits the int32 capacities and node indices of its CSR matrix."""
+    if max(d * n, kappa + n + 1) > np.iinfo(np.int32).max:
+        raise ValueError(f"d*n = {d * n} or sink node {kappa + n + 1} exceeds int32")
+
+
 def build_network(d_in: ColouredDigraph, d: int) -> FlowNetwork:
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    # scipy's max-flow takes int32 capacities and node indices
-    if max(d * d_in.n, d_in.kappa + d_in.n + 1) > np.iinfo(np.int32).max:
-        raise ValueError(f"d*n = {d * d_in.n} or sink node {d_in.kappa + d_in.n + 1} exceeds int32")
+    check_network_size(d_in.n, d_in.kappa, d)
     tails, _, colours = d_in.arcs.T
     # sort and drop repeats: numpy 2's hash-table np.unique is ~30x slower here
     keys = np.sort(colours * d_in.n + tails)
@@ -170,17 +178,22 @@ def max_flow(net: FlowNetwork) -> tuple[int, np.ndarray]:
     fixes the whole flow: source->c and c->owner[c] carry 1, and v->sink
     carries the number of colours v owns.
 
-    Dinic's first phase runs here, on `net.capacity_matrix()`: colours in
-    ascending order each send their unit to the smallest adjacent vertex
-    that still has room.  When that saturates every vertex it is the
-    final flow scipy's Dinic solver would return, and scipy is not
-    called; otherwise scipy's `maximum_flow` solves the same matrix and
-    `owner` is read off its flow.
+    Dinic's algorithm runs here, on `net.capacity_matrix()`, scanning
+    arcs in the order of scipy's Dinic solver, so `owner` is the flow
+    that solver returns on the same matrix.  The first phase sends each
+    colour's unit, colours ascending, to the smallest adjacent vertex
+    that still has room; when that leaves a vertex short,
+    `_later_phases` continues from its owners.  Only a network with
+    fewer than d*n colours, or with a vertex adjacent to fewer than d of
+    them, goes to scipy's `maximum_flow`: any flow leaves a vertex of it
+    short, and `owner` is read off scipy's flow.
     """
     caps = net.capacity_matrix()
-    owner = _first_phase(net, caps)
-    if owner is not None:
-        return net.d * net.n, owner
+    phase = _first_phase(net, caps)
+    if phase is not None:
+        owner, room = phase
+        value = _later_phases(net, owner, np.array(room)) if any(room) else net.d * net.n
+        return value, owner
     res = maximum_flow(caps, net.source, net.sink)
     # Positive entries in colour rows are the flows on middle arcs (the
     # reverse entries of source arcs are negative).
@@ -193,16 +206,16 @@ def max_flow(net: FlowNetwork) -> tuple[int, np.ndarray]:
     return int(res.flow_value), owner
 
 
-def _first_phase(net: FlowNetwork, caps: csr_matrix) -> np.ndarray | None:
-    """The owners after Dinic's first phase (one blocking-flow path
-    source->c->v->sink per colour c, tried in CSR order), or None when
-    that phase leaves some vertex short of d units."""
+def _first_phase(net: FlowNetwork, caps: csr_matrix) -> tuple[np.ndarray, list[int]] | None:
+    """The owners and the list of each vertex's room (d minus the number
+    of colours it owns) after Dinic's first phase: one blocking-flow path
+    source->c->v->sink per colour c, tried in CSR order, so c takes the
+    smallest adjacent vertex with room.  None when there are fewer than
+    d*n colours or a vertex is adjacent to fewer than d, which leaves a
+    vertex short under any flow."""
     kappa, d, base = net.kappa, net.d, net.vertex_node(0)
-    slack = kappa - d * net.n  # colours that may go unassigned
     ptr, nodes = caps.indptr[1 : kappa + 2].tolist(), memoryview(caps.indices)
-    # fewer than d*n colours, or a vertex adjacent to fewer than d, leave a
-    # vertex short under any flow
-    if slack < 0 or np.bincount(caps.indices[ptr[0] : ptr[-1]], minlength=net.sink)[base:].min() < d:
+    if kappa < d * net.n or np.bincount(caps.indices[ptr[0] : ptr[-1]], minlength=net.sink)[base:].min() < d:
         return None
     room = [d] * net.num_nodes  # indexed by vertex node
     owner = [-1] * (kappa + 1)
@@ -212,16 +225,105 @@ def _first_phase(net: FlowNetwork, caps: csr_matrix) -> np.ndarray | None:
             if room[v]:
                 break
         else:
-            slack -= 1
-            if slack < 0:
-                return None
             continue
         room[v] -= 1
         owner[c] = v - base
         left -= 1
         if not left:
             break
-    return np.array(owner)
+    return np.array(owner), room[base : base + net.n]
+
+
+def _later_phases(net: FlowNetwork, owner: np.ndarray, room: np.ndarray) -> int:
+    """Dinic's phases after the first, from its `owner` and `room`, which
+    are updated in place; returns the flow value.
+
+    The residual network of `owner` has the arcs source -> each
+    unassigned colour, colour -> every adjacent vertex (a flow of at most
+    1 never saturates a middle arc), vertex -> each colour it owns, and
+    vertex -> sink while it has room.  Each phase levels the nodes by BFS
+    distance from the source, one vectorised step per layer, up to the
+    first vertex layer that holds a vertex with room, and a backward
+    pass drops the nodes that cannot reach the sink inside that level
+    graph.  A DFS then scans the arcs left in the order of scipy's CSR
+    rows (roots ascending, a colour's vertices ascending, a vertex's
+    colours ascending and then the sink), and keeps each node's progress
+    pointer for the whole phase; the arcs it no longer sees lead only to
+    dead ends, so it finds scipy's paths.  Every path carries one unit
+    from an unassigned colour c0 through v1, c1, v2, ..., vk:
+    augmenting gives c0 to v1, c1 to v2 and so on, and takes one unit of
+    vk's room.
+    """
+    n = net.n
+    arc_colours, arc_vertices = net.middle_arcs.T
+    left = int(room.sum())
+    while left:
+        # layers[i]: the middle arcs from colour layer i into the vertices
+        # first reached there.  Slot n of `unseen` is what owner -1 reads,
+        # and the colours of earlier layers have no arc into unseen vertices
+        # (nor has colour 0, the source's slot, any arc).
+        unseen = np.ones(n + 1, bool)
+        in_layer = owner < 0
+        layers = []
+        while True:
+            # take() gathers faster than indexing here
+            arcs = np.flatnonzero(in_layer.take(arc_colours) & unseen.take(arc_vertices))
+            if not len(arcs):
+                return net.d * n - left  # the sink is out of reach: the flow is maximum
+            layers.append(arcs)
+            vertices = arc_vertices[arcs]
+            if room[vertices].any():
+                break
+            unseen[vertices] = False
+            in_layer = ~unseen[owner]
+        # Backward pass: keep the arcs into live vertices, first those with
+        # room, then the owners of live colours one layer further on.
+        live = np.zeros(n + 1, bool)
+        live[:n] = room > 0
+        kept = []
+        for arcs in reversed(layers):
+            arcs = arcs[live[arc_vertices[arcs]]]
+            kept.append(arcs)
+            live[owner[arc_colours[arcs]]] = True
+        # Each live colour's live vertices, and each vertex's live colours
+        # (under -1, the unassigned colours that root the DFS), ascending; a
+        # colour's arcs lie together, in one layer.
+        arcs = np.concatenate(kept)
+        colours, vertices = arc_colours[arcs], arc_vertices[arcs].tolist()
+        starts = [0, *(np.flatnonzero(colours[1:] != colours[:-1]) + 1).tolist(), len(vertices)]
+        live_colours = colours[starts[:-1]]
+        heads = {c: vertices[a:b] for c, a, b in zip(live_colours.tolist(), starts, starts[1:])}
+        owned = {}
+        for c, u in zip(live_colours.tolist(), owner[live_colours].tolist()):
+            owned.setdefault(u, []).append(c)
+        cptr, vptr = dict.fromkeys(heads, 0), dict.fromkeys(owned, 0)
+        for root in owned.pop(-1):
+            path = [root]  # colours at even positions, vertices at odd ones
+            while path:
+                x = path[-1]
+                if len(path) % 2:
+                    if cptr[x] < len(heads[x]):
+                        path.append(heads[x][cptr[x]])
+                        continue
+                elif x in owned and vptr[x] < len(owned[x]):
+                    path.append(owned[x][vptr[x]])
+                    continue
+                elif room[x]:
+                    owner[path[0::2]] = path[1::2]
+                    room[x] -= 1
+                    left -= 1
+                    for v in path[1:-1:2]:
+                        vptr[v] += 1  # its arc to the colour it gave up is empty
+                    break
+                # a dead end: retreat, and move the node below past it
+                path.pop()
+                if len(path) % 2:
+                    cptr[path[-1]] += 1
+                elif path:
+                    vptr[path[-1]] += 1
+            if not left:
+                break  # every vertex is full, so no path is left
+    return net.d * n
 
 
 def hall_witness(d_in: ColouredDigraph, d: int) -> HallWitness | None:
@@ -229,8 +331,8 @@ def hall_witness(d_in: ColouredDigraph, d: int) -> HallWitness | None:
     the smallest, or None when the max-flow value reaches d*n.  Colours
     and neighbours come in ascending order.
 
-    A value short of d*n means the first phase left a vertex short, so
-    the owners are those of the flow scipy's solver finished.  Their
+    A value short of d*n means that no augmenting path is left, whether
+    `max_flow`'s later phases or scipy's solver found the owners.  Their
     residual network has the arcs source -> each unassigned colour,
     colour -> every adjacent vertex (a middle arc's flow of at most 1
     stays below its capacity d*n when the value falls short), and

@@ -30,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .coupling import couple, truncate, truncation_counts
-from .flow import build_network, extract_via_permutation, max_flow
+from .flow import build_network, check_network_size, extract_via_permutation, max_flow
 from .graphs import (
     ColouredDigraph,
     coalesce_orientation,
@@ -90,10 +90,14 @@ class ExperimentConfig:
             raise ValueError(f"need n >= 2, got {self.n}")
         if self.seed < 0:
             raise ValueError(f"need seed >= 0, got {self.seed}")
+        if self.jobs < 1:
+            raise ValueError(f"need jobs >= 1, got {self.jobs}")
         if self.mode not in MODES and self.mode != "sweep":
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "lemma4" and self.d > self.n - 1:
             raise ValueError(f"lemma4 needs d <= n-1, got d={self.d}, n={self.n}")
+        if self.mode in ("lemma3", "pipeline"):
+            check_network_size(self.n, self.kappa, self.d)
         if self.mode == "pipeline":
             self._check_pipeline()
 

@@ -1,3 +1,6 @@
+import pytest
+
+from rainbowgraphs import harness
 from rainbowgraphs.cli import main
 
 
@@ -85,6 +88,17 @@ class TestOtherCommands:
             assert res.returncode == 2 and res.stdout == ""
             assert res.stderr.startswith("error: ") and message in res.stderr
             assert res.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--mode", "lemma3", "--axis", "kappa", "--grid", "30", "3000000000",
+         "--n", "5", "--d", "2", "--trials", "3"],
+        ["trial", "--mode", "lemma3", "--n", "5", "--d", "2", "--trials", "3", "--jobs", "0"],
+    ])
+    def test_bad_config_exits_2_before_any_trial(self, args, tmp_path, monkeypatch, capsys):
+        monkeypatch.setitem(harness._TRIAL_FN, "lemma3", lambda c, t: pytest.fail("a trial ran"))
+        out = tmp_path / "out.jsonl"
+        assert main([*args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ") and not out.exists()
 
 
 class TestReproducibility:

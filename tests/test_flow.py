@@ -93,6 +93,14 @@ def first_phase(net):
     return owner, not any(room)
 
 
+def precheck_rejects(net):
+    """Reference: fewer than d*n colours, or a vertex adjacent to fewer
+    than d colours, leave a vertex short under any flow; `max_flow` hands
+    exactly these networks to scipy's solver."""
+    degrees = np.bincount(net.middle_arcs[:, 1], minlength=net.n)
+    return net.kappa < net.d * net.n or degrees.min() < net.d
+
+
 def owner_flow(net, owner):
     """The flow `owner` implies, one entry per arc: source->c and
     c->owner[c] carry 1 for every assigned colour c, v->sink the number
@@ -192,8 +200,9 @@ class TestCapacityMatrix:
 
     def assert_matches_reference(self, net, scipy_calls):
         """Checks the CSR against the reference, then the flow against
-        scipy's; scipy must run exactly when the reference first phase
-        leaves a vertex short.  Returns whether it saturated."""
+        scipy's; scipy must run exactly when the precheck rejects the
+        network.  Returns "rejected", "saturated" (by the first phase) or
+        "short" (after it)."""
         caps = net.capacity_matrix()
         assert caps.dtype == np.int32
         assert caps.indices.dtype == caps.indptr.dtype == np.int32
@@ -203,12 +212,13 @@ class TestCapacityMatrix:
         assert (np.diff(caps.indices)[np.diff(rows) == 0] > 0).all()
         before = len(scipy_calls)
         value, owner = max_flow(net)
+        rejected = precheck_rejects(net)
+        assert len(scipy_calls) - before == rejected
         phase_owner, saturated = first_phase(net)
-        assert len(scipy_calls) - before == (not saturated)
         if saturated:
             assert owner.tolist() == phase_owner
         assert_flow_is_scipys(net, value, owner)
-        return saturated
+        return "rejected" if rejected else "saturated" if saturated else "short"
 
     @pytest.fixture
     def scipy_calls(self, monkeypatch):
@@ -223,7 +233,7 @@ class TestCapacityMatrix:
 
     def test_empty_middle_arcs(self, scipy_calls):
         net = build_network(ColouredDigraph(n=3, kappa=2, arcs=()), 1)
-        assert not self.assert_matches_reference(net, scipy_calls)
+        assert self.assert_matches_reference(net, scipy_calls) == "rejected"
 
     def test_colours_without_arcs(self, scipy_calls):
         # colours 1, 3 and 6 carry no arc: their rows are empty
@@ -234,21 +244,47 @@ class TestCapacityMatrix:
 
     def test_random_instances(self, scipy_calls):
         rng = substream(0, "flow-vs-scipy")
-        saturated = []
+        kinds = []
         for seed in range(2000):
             n = int(rng.integers(2, 41))
             kappa = int(rng.integers(1, 4 * n + 1))
             p1 = float(rng.choice([0.05, 0.1, 0.3, 0.5, 0.7, 0.9]))
             net = build_network(random_instance(seed, n, kappa, p1), int(rng.integers(1, 5)))
-            saturated.append(self.assert_matches_reference(net, scipy_calls))
-        # both branches: the first phase alone, and scipy finishing the solve
-        assert 100 < sum(saturated) < 1900
+            kinds.append(self.assert_matches_reference(net, scipy_calls))
+        # every branch: the first phase alone, the later phases, and scipy
+        assert 100 < kinds.count("saturated") < 1900
+        assert kinds.count("short") > 100 and kinds.count("rejected") > 1000
         net = build_network(random_instance(0, 300, 900, 0.01), 2)
-        assert not self.assert_matches_reference(net, scipy_calls)
+        assert self.assert_matches_reference(net, scipy_calls) == "rejected"
         # the lemma3 benchmark's size: n=1000, d=2, p=0.3, kappa=3000
         p1 = split_probability(0.3).p1
         net = build_network(random_instance(1, 1000, 3000, p1), 2)
-        assert self.assert_matches_reference(net, scipy_calls)
+        assert self.assert_matches_reference(net, scipy_calls) == "saturated"
+
+    def test_later_phases_match_scipy(self, scipy_calls):
+        # kappa from d*n to 1.5*d*n: the first phase often leaves a vertex
+        # short although the precheck passes
+        rng = substream(0, "later-phases")
+        short = reassigned = infeasible = 0
+        for seed in range(800):
+            n, d = int(rng.integers(2, 31)), int(rng.integers(1, 4))
+            kappa = int(rng.integers(d * n, 3 * d * n // 2 + 1))
+            p1 = float(rng.choice([0.2, 0.3, 0.5, 0.7, 0.9]))
+            net = build_network(random_instance(seed, n, kappa, p1), d)
+            if self.assert_matches_reference(net, scipy_calls) != "short":
+                continue
+            short += 1
+            phase_owner = np.array(first_phase(net)[0])
+            value, owner = max_flow(net)
+            # some path ran through a colour the first phase had assigned
+            reassigned += bool(((phase_owner >= 0) & (owner != phase_owner)).any())
+            infeasible += value < d * n
+        assert short >= 300 and reassigned >= 250 and infeasible >= 50
+        # short networks at n=1000, d=2: kappa=2000 at p=0.3, 2500 at
+        # p=0.05 and 5000 at p=0.02
+        for seed, kappa, p in [(0, 2000, 0.3), (0, 2500, 0.05), (0, 5000, 0.02)]:
+            net = build_network(random_instance(seed, 1000, kappa, split_probability(p).p1), 2)
+            assert self.assert_matches_reference(net, scipy_calls) == "short"
 
 
 class TestMaxFlow:
@@ -377,6 +413,18 @@ class TestHallWitness:
             assert witness == scipy_hall_witness(d_in, d)
             infeasible += witness is not None
         assert 50 < infeasible < 250
+        # kappa = d*n >= 23, where one colour without arcs is a violation
+        # that the precheck does not see, so the package solves the flow
+        rng = substream(0, "hall-vs-scipy-tight")
+        in_package = 0
+        for _ in range(400):
+            d = int(rng.integers(1, 4))
+            n = int(rng.integers(-(-(HALL_KAPPA_CAP + 1) // d), 41))
+            d_in = sample_coloured_digraph(n, float(rng.choice([0.3, 0.5])), d * n, rng)
+            witness = hall_witness(d_in, d)
+            assert witness == scipy_hall_witness(d_in, d)
+            in_package += witness is not None and not precheck_rejects(build_network(d_in, d))
+        assert in_package >= 100
 
 
 class TestHallWitnessCheck:

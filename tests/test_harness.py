@@ -15,7 +15,7 @@ from rainbowgraphs.harness import (
     wilson_interval,
 )
 from rainbowgraphs.rng import substream
-from test_flow import first_phase
+from test_flow import first_phase, precheck_rejects
 
 
 def lemma4_config(**kw):
@@ -86,14 +86,15 @@ class TestRunTrials:
     def test_pipeline_decides_failed_coupling_by_flow_alone(self, monkeypatch):
         # a trial whose truncation counts exceed d solves its one max-flow
         # and neither extracts nor shuffles; scipy's solver runs only on the
-        # networks whose first phase leaves a vertex short
+        # networks the precheck rejects, and the later phases finish the
+        # other networks whose first phase leaves a vertex short
         config = ExperimentConfig(
             n=12, p=0.9, kappa=80, eps=1.0, d=3, trials=1, seed=0, mode="pipeline",
             target_family="cycle", target_size=12,
         )
         want = [harness._pipeline_trial(config, t).to_json() for t in range(240)]
         calls = {"flow": 0, "extract": 0, "scipy": 0}
-        short = []
+        short, rejected = [], []
         tags = []
 
         def counted(key, fn):
@@ -106,6 +107,7 @@ class TestRunTrials:
 
         def flow_counter(net):
             short.append(not first_phase(net)[1])
+            rejected.append(precheck_rejects(net))
             return counted_flow(net)
 
         monkeypatch.setattr(flow, "max_flow", flow_counter)
@@ -129,7 +131,7 @@ class TestRunTrials:
             assert rec.to_json() == want[t]
             k_max = truncation_counts(12, p_inner, substream(0, t, "pipe-truncate")).max()
             assert calls["flow"] - before["flow"] == 1
-            assert calls["scipy"] - before["scipy"] == short[-1]
+            assert calls["scipy"] - before["scipy"] == rejected[-1]
             assert calls["extract"] - before["extract"] == (k_max <= config.d)
             if k_max > config.d:
                 assert rec.pipeline_verdict in ("extraction-failed", "coupling-failed")
@@ -139,7 +141,7 @@ class TestRunTrials:
             ("extraction-failed", True), ("coupling-failed", True),
             ("extraction-failed", False), ("no-embedding", False), ("found", False),
         }
-        assert 0 < calls["scipy"] == sum(short) < calls["flow"] == 240
+        assert 0 < calls["scipy"] == sum(rejected) < sum(short) < calls["flow"] == 240
 
     def test_pipeline_needs_target(self):
         with pytest.raises(ValueError):
@@ -206,6 +208,32 @@ class TestConfigValidation:
         sweep = replace(config, mode="sweep", sweep_axis="n", sweep_values=(12, 8))
         with pytest.raises(ValueError):
             run_sweep(sweep, mode="pipeline")
+
+    @pytest.mark.parametrize("mode", ["lemma3", "pipeline"])
+    @pytest.mark.parametrize("kappa,d", [(2**31 - 8, 2), (40, 2**29)])
+    def test_rejects_network_beyond_int32(self, mode, kappa, d):
+        # kappa + n + 1 or d*n past int32: once raised only inside a trial
+        config = dict(
+            n=8, p=0.9, eps=1.0, trials=1, seed=0, mode=mode, target_family="cycle",
+            target_size=8,
+        )
+        ExperimentConfig(kappa=2**31 - 10, d=2, **config)
+        with pytest.raises(ValueError, match="exceeds int32"):
+            ExperimentConfig(kappa=kappa, d=d, **config)
+
+    def test_int32_sweep_point_fails_before_any_trial(self, monkeypatch):
+        monkeypatch.setitem(harness._TRIAL_FN, "lemma3", lambda c, t: pytest.fail("a trial ran"))
+        sweep = ExperimentConfig(
+            n=5, p=0.5, kappa=30, eps=0.5, d=2, trials=3, seed=0, mode="sweep",
+            sweep_axis="kappa", sweep_values=(30, 3_000_000_000),
+        )
+        with pytest.raises(ValueError, match="exceeds int32"):
+            run_sweep(sweep, mode="lemma3")
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError, match="need jobs >= 1"):
+            lemma4_config(jobs=jobs)
 
 
 class TestWilson:
