@@ -1,30 +1,33 @@
 """Per-solve cost of `flow.max_flow` on ten network configs, per checkout.
 
-    python3 tools/solve_table.py [--seed N] [--rounds R] [CHECKOUT ...]
+    python3 tools/solve_table.py [--seed N] [CHECKOUT ...]
 
 A CHECKOUT is a source tree with the package under `src/`; the default is
-the one holding this script.  Each round runs one fresh process per
-checkout, in turn and in alternating order, which imports the package
-from that checkout.  The process samples each config's networks from the seed (as a lemma3 trial
-does, with p1 = split_probability(p).p1), sorts them into those Dinic's
-first phase saturates and the short ones, and takes the median over the
-networks of each kind of the network's best of 3 `max_flow` calls.  The
-table gives, per checkout, the median of those over the rounds in ms;
+the one holding this script.  Each checkout's package is imported into
+this one process under its own name.  Each config's networks are sampled
+from the seed (as a lemma3 trial does, with p1 = split_probability(p).p1)
+and sorted into those Dinic's first phase saturates and the short ones;
 `rejected` counts the short networks with fewer than d*n colours or a
-vertex adjacent to fewer than d.  With two or more checkouts it marks
-each row where the last is slower than the first, and exits 1 if there
-is one.  Nothing is written to disk.
+vertex adjacent to fewer than d.  Every checkout solves each network 3
+times, the checkouts taking turns call by call in alternating order, so
+drift in the machine's speed favours none of them.  The table gives, per
+checkout, the median over the networks of each kind of the network's
+best call in ms.  With two or more checkouts it marks each row where the
+last is slower than the first, and exits 1 if there is one.  Nothing is
+written to disk.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import importlib
+import importlib.util
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 # (n, kappa, d, p, networks)
 CONFIGS = (
@@ -42,78 +45,59 @@ CONFIGS = (
 CALLS = 3
 
 
-def measure(checkout: Path, seed: int) -> list[dict]:
-    """One row per config and kind: the networks' count and median best
-    time in ms, solved by the package of `checkout`."""
-    sys.path.insert(0, str(checkout / "src"))
-    import numpy as np
-    from rainbowgraphs.flow import build_network, max_flow
-    from rainbowgraphs.graphs import sample_coloured_digraph, split_probability
-    from rainbowgraphs.rng import substream
-
-    rows = []
-    for index, (n, kappa, d, p, count) in enumerate(CONFIGS):
-        p1 = split_probability(p).p1
-        times = {"saturated": [], "short": []}
-        rejected = 0
-        for i in range(count):
-            net = build_network(
-                sample_coloured_digraph(n, p1, kappa, substream(seed, index, i, "solve-table")), d
-            )
-            room, owner = [d] * n, [-1] * (kappa + 1)  # Dinic's first phase, as a plain loop
-            for c, v in net.middle_arcs.tolist():
-                if owner[c] < 0 and room[v]:
-                    room[v] -= 1
-                    owner[c] = v
-            degrees = np.bincount(net.middle_arcs[:, 1], minlength=n)
-            rejected += bool(kappa < d * n or degrees.min() < d)
-            best = float("inf")
-            for _ in range(CALLS):
-                start = time.perf_counter()
-                max_flow(net)
-                best = min(best, time.perf_counter() - start)
-            times["short" if any(room) else "saturated"].append(best * 1e3)
-        for kind, ms in times.items():
-            if ms:
-                rows.append({
-                    "config": f"n={n} kappa={kappa} d={d} p={p}", "kind": kind, "count": len(ms),
-                    "rejected": rejected if kind == "short" else 0, "ms": statistics.median(ms),
-                })
-    return rows
+def load(checkout: Path, name: str):
+    """The package under `checkout/src`, imported as `name`."""
+    root = checkout.resolve() / "src" / "rainbowgraphs"
+    spec = importlib.util.spec_from_file_location(
+        name, root / "__init__.py", submodule_search_locations=[str(root)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkouts", nargs="*", type=Path, default=[Path(__file__).resolve().parents[1]])
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
-    if args.worker:
-        print(json.dumps(measure(args.checkouts[0].resolve(), args.seed)))
-        return 0
-    runs = {checkout: [] for checkout in args.checkouts}
-    for r in range(args.rounds):
-        # alternate the order, so drift in the machine's speed favours no side
-        for checkout in args.checkouts[:: 1 if r % 2 == 0 else -1]:
-            out = subprocess.run(
-                [sys.executable, __file__, "--worker", "--seed", str(args.seed), str(checkout)],
-                check=True, capture_output=True, text=True,
-            ).stdout
-            runs[checkout].append(json.loads(out))
-    first = runs[args.checkouts[0]][0]
-    header = ["config", "kind", "count", "rejected", *map(str, args.checkouts)]
-    print("\t".join(header))
+    packages = [load(checkout, f"checkout{i}") for i, checkout in enumerate(args.checkouts)]
+    sample = packages[0]
+    print("\t".join(["config", "kind", "count", "rejected", *map(str, args.checkouts)]))
     slower = 0
-    for i, row in enumerate(first):
-        medians = [statistics.median(run[i]["ms"] for run in runs[c]) for c in args.checkouts]
-        counts = {(run[i]["config"], run[i]["kind"], run[i]["count"]) for c in args.checkouts for run in runs[c]}
-        if len(counts) != 1:
-            raise SystemExit(f"checkouts disagree on the networks of {row['config']}: {counts}")
-        mark = " slower" if len(medians) > 1 and medians[-1] > medians[0] else ""
-        slower += bool(mark)
-        cells = [row["config"], row["kind"], str(row["count"]), str(row["rejected"])]
-        print("\t".join(cells + [f"{ms:.3f}" for ms in medians]) + mark)
+    for index, (n, kappa, d, p, count) in enumerate(CONFIGS):
+        p1 = sample.graphs.split_probability(p).p1
+        best = {"saturated": [], "short": []}
+        rejected = 0
+        for i in range(count):
+            d_in = sample.graphs.sample_coloured_digraph(
+                n, p1, kappa, sample.rng.substream(args.seed, index, i, "solve-table")
+            )
+            nets = [package.flow.build_network(d_in, d) for package in packages]
+            room, owner = [d] * n, [-1] * (kappa + 1)  # Dinic's first phase, as a plain loop
+            for c, v in nets[0].middle_arcs.tolist():
+                if owner[c] < 0 and room[v]:
+                    room[v] -= 1
+                    owner[c] = v
+            degrees = np.bincount(nets[0].middle_arcs[:, 1], minlength=n)
+            rejected += bool(kappa < d * n or degrees.min() < d)
+            times = [float("inf")] * len(packages)
+            for call in range(CALLS):
+                turn = range(len(packages)) if (i + call) % 2 == 0 else reversed(range(len(packages)))
+                for k in turn:
+                    start = time.perf_counter()
+                    packages[k].flow.max_flow(nets[k])
+                    times[k] = min(times[k], time.perf_counter() - start)
+            best["short" if any(room) else "saturated"].append(times)
+        for kind, rows in best.items():
+            if not rows:
+                continue
+            medians = [statistics.median(row[k] for row in rows) * 1e3 for k in range(len(packages))]
+            mark = " slower" if medians[-1] > medians[0] else ""
+            slower += bool(mark)
+            cells = [f"n={n} kappa={kappa} d={d} p={p}", kind, str(len(rows)), str(rejected if kind == "short" else 0)]
+            print("\t".join(cells + [f"{ms:.3f}" for ms in medians]) + mark, flush=True)
     return 1 if slower else 0
 
 
