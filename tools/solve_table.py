@@ -20,7 +20,6 @@ written to disk.
 from __future__ import annotations
 
 import argparse
-import importlib
 import importlib.util
 import statistics
 import sys
