@@ -4,7 +4,7 @@ The extraction is a max-flow computation; when it fails, the dual
 certificate is a deficient colour set, which we print instead.
 """
 
-from rainbowgraphs.flow import extract_via_permutation, hall_witness
+from rainbowgraphs.flow import HallWitness, extract_via_permutation
 from rainbowgraphs.graphs import sample_coloured_digraph, split_probability
 from rainbowgraphs.rng import substream
 
@@ -19,10 +19,9 @@ def main() -> None:
         rng = substream(seed, "demo-extract")
         g = sample_coloured_digraph(n, p1, kappa, rng)
         rainbow = extract_via_permutation(g, d, rng)
-        if rainbow is None:
-            witness = hall_witness(g, d)
+        if isinstance(rainbow, HallWitness):
             print(f"seed {seed}: infeasible, deficient colour set "
-                  f"{witness.colours} (deficiency {witness.deficiency})")
+                  f"{rainbow.colours} (deficiency {rainbow.deficiency})")
             continue
         rainbow.check(g)
         arcs = rainbow.digraph.arcs.tolist()  # rows (tail, head, colour)

@@ -16,15 +16,9 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import edgelist, targets
-from .flow import extract_rainbow_dout, extract_via_permutation, hall_witness
+from .flow import HallWitness, extract_rainbow_dout, extract_via_permutation
 from .graphs import sample_coloured_digraph, sample_coloured_graph, split_probability
-from .harness import (
-    ExperimentConfig,
-    SWEEP_AXES,
-    records_to_jsonl,
-    run_sweep,
-    run_trials,
-)
+from .harness import MODES, SWEEP_AXES, ExperimentConfig, records_to_jsonl, run_sweep, run_trials
 from .rng import substream
 from .search import find_rainbow_copy_exact, find_rainbow_spanning_tree
 
@@ -43,6 +37,8 @@ def _write_graph(g, out: str | None) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    if args.split and not args.directed:
+        raise ValueError("--split needs --directed")
     rng = substream(args.seed, "gen")
     if args.directed:
         p1 = split_probability(args.p).p1 if args.split else args.p
@@ -60,13 +56,12 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         result = extract_via_permutation(dgr, args.d, substream(args.seed, "extract"))
     else:
         result = extract_rainbow_dout(dgr, args.d)
-    if result is None:
-        witness = hall_witness(dgr, args.d)
+    if isinstance(result, HallWitness):
         lines = [
             "INFEASIBLE",
-            f"witness colours: {' '.join(map(str, witness.colours))}",
-            f"witness neighbours: {' '.join(map(str, witness.neighbours))}",
-            f"deficiency: {witness.deficiency}",
+            f"witness colours: {' '.join(map(str, result.colours))}",
+            f"witness neighbours: {' '.join(map(str, result.neighbours))}",
+            f"deficiency: {result.deficiency}",
         ]
         _write("\n".join(lines) + "\n", args.out)
         return 1
@@ -75,19 +70,17 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    report = bounds_mod.theorem1_threshold(
-        args.n, args.delta, args.eps, alt_parse=args.alt_parse
-    )
-    payload = {
-        k: v for k, v in dataclasses.asdict(report).items() if v is not None
-    }
+    if (args.d is None) != (args.kappa is None):
+        raise ValueError("--d and --kappa go together")
+    if args.edges is not None and args.gamma is None:
+        raise ValueError("--edges needs --gamma")
+    report = bounds_mod.theorem1_threshold(args.n, args.delta, args.eps, alt_parse=args.alt_parse)
+    payload = {k: v for k, v in dataclasses.asdict(report).items() if v is not None}
     if args.gamma is not None:
-        edges = args.edges if args.edges is not None else args.n
-        rio = bounds_mod.riordan_condition(
-            args.n, args.p, args.gamma, args.delta, edges
-        )
+        edges = args.n if args.edges is None else args.edges
+        rio = bounds_mod.riordan_condition(args.n, args.p, args.gamma, args.delta, edges)
         payload.update(dataclasses.asdict(rio))
-    if args.d is not None and args.kappa is not None:
+    if args.d is not None:
         p1 = split_probability(args.p).p1
         rep = bounds_mod.theta(args.n, args.d, args.kappa, args.eps, p1)
         payload.update(
@@ -250,14 +243,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_search)
 
     sp = sub.add_parser("trial", help="Monte Carlo trials in one mode")
-    sp.add_argument("--mode", choices=("lemma3", "lemma4", "pipeline"), required=True)
+    sp.add_argument("--mode", choices=MODES, required=True)
     _add_common(sp)
     sp.add_argument("--target", choices=targets.FAMILIES, default=None)
     sp.add_argument("--size", type=int, default=None)
     sp.set_defaults(fn=_cmd_trial)
 
     sp = sub.add_parser("sweep", help="Monte Carlo sweep over a parameter grid")
-    sp.add_argument("--mode", choices=("lemma3", "lemma4", "pipeline"), required=True)
+    sp.add_argument("--mode", choices=MODES, required=True)
     sp.add_argument("--axis", choices=SWEEP_AXES, required=True)
     sp.add_argument("--grid", type=float, nargs="+", required=True)
     _add_common(sp)

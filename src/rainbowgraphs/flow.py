@@ -9,27 +9,22 @@ per assignment yields a digraph with out-degree d everywhere and globally
 distinct arc colours.  Each colour is assigned to at most one vertex, so
 `max_flow` describes a flow by `owner`, the vertex each colour's unit
 reaches (-1 for none), and one lookup indexed by colour finds the arcs of
-the assignments.  `max_flow` runs Dinic's algorithm itself, scanning arcs
-in the order of scipy's Dinic solver, so it returns that solver's flow.
-In the first phase colours in ascending order each send their unit to
-the smallest adjacent vertex that still has room; when that leaves a
-vertex short, the later phases augment along paths that reassign owned
-colours.  Only a network with fewer than d*n colours, or with a vertex
-adjacent to fewer than d, goes to scipy's `maximum_flow`; no flow fills
-such a network.  Where a
-vertex has several arcs of its assigned colour, the decomposition keeps
-the head of least rank: the head itself in `extract_rainbow_dout`, its
-image under a random per-vertex relabelling in
-`extract_via_permutation`.  The network depends only on the (colour,
-tail) pairs, so the relabelling changes that tie-break and nothing else.
+the assignments.  `max_flow` runs Dinic's algorithm itself and returns
+the flow of scipy's Dinic solver.  Where a vertex has several arcs of
+its assigned colour, the decomposition keeps the head of least rank: the
+head itself in `extract_rainbow_dout`, its image under a random
+per-vertex relabelling in `extract_via_permutation`.  The network
+depends only on the (colour, tail) pairs, so the relabelling changes
+that tie-break and nothing else.
 
 The flow value equals d*n exactly when every colour set S satisfies the
 cut condition kappa - |S| + d*|N(S)| >= d*n, where N(S) is the set of
 tails carrying a colour of S.  When the value falls short, the nodes
-reachable from the source in the residual network (built from `owner`)
-form the smallest source side of a minimum cut; its colour nodes are a
-colour set S of maximum deficiency, contained in every other one, and
-`hall_witness` returns it as the certificate, at any kappa.
+that `_levels` reaches from the source in the residual network form the
+smallest source side of a minimum cut; its colour nodes are a colour set
+S of maximum deficiency, contained in every other one.  An extraction
+returns that set as its certificate, read off the flow it solved, as
+`hall_witness` does, at any kappa.
 """
 
 from __future__ import annotations
@@ -38,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+from scipy.sparse.csgraph import maximum_flow
 
 from .graphs import ColouredDigraph, relabel
 
@@ -234,48 +229,61 @@ def _first_phase(net: FlowNetwork, caps: csr_matrix) -> tuple[np.ndarray, list[i
     return np.array(owner), room[base : base + net.n]
 
 
+def _levels(net: FlowNetwork, owner: np.ndarray, room: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Dinic's level search from the source in the residual network of
+    `owner`, whose vertices have `room` left.  That network has the arcs
+    source -> each unassigned colour, colour -> every adjacent vertex (a
+    middle arc carries at most 1, below its capacity d*n unless the flow
+    is full), vertex -> each colour it owns, and vertex -> sink while it
+    has room.  Nodes are levelled by BFS distance, one vectorised step per
+    layer, up to the first vertex layer that holds a vertex with room;
+    returns those layers and `unseen`, the mask of vertices not reached
+    (slot n is what owner -1 reads).  When no vertex with room is
+    reachable, returns no layers, and `unseen` is the complement of the
+    reached set.
+    """
+    n = net.n
+    arc_colours, arc_vertices = net.middle_arcs.T
+    # layers[i]: the middle arcs from colour layer i into the vertices first
+    # reached there.  The colours of earlier layers have no arc into unseen
+    # vertices (nor has colour 0, the source's slot, any arc).
+    unseen = np.ones(n + 1, bool)
+    in_layer = owner < 0
+    layers = []
+    while True:
+        # take() gathers faster than indexing here
+        arcs = np.flatnonzero(in_layer.take(arc_colours) & unseen.take(arc_vertices))
+        if not len(arcs):
+            return [], unseen
+        layers.append(arcs)
+        vertices = arc_vertices[arcs]
+        if room[vertices].any():
+            return layers, unseen
+        unseen[vertices] = False
+        in_layer = ~unseen[owner]
+
+
 def _later_phases(net: FlowNetwork, owner: np.ndarray, room: np.ndarray) -> int:
     """Dinic's phases after the first, from its `owner` and `room`, which
     are updated in place; returns the flow value.
 
-    The residual network of `owner` has the arcs source -> each
-    unassigned colour, colour -> every adjacent vertex (a flow of at most
-    1 never saturates a middle arc), vertex -> each colour it owns, and
-    vertex -> sink while it has room.  Each phase levels the nodes by BFS
-    distance from the source, one vectorised step per layer, up to the
-    first vertex layer that holds a vertex with room, and a backward
-    pass drops the nodes that cannot reach the sink inside that level
-    graph.  A DFS then scans the arcs left in the order of scipy's CSR
-    rows (roots ascending, a colour's vertices ascending, a vertex's
-    colours ascending and then the sink), and keeps each node's progress
-    pointer for the whole phase; the arcs it no longer sees lead only to
-    dead ends, so it finds scipy's paths.  Every path carries one unit
-    from an unassigned colour c0 through v1, c1, v2, ..., vk:
-    augmenting gives c0 to v1, c1 to v2 and so on, and takes one unit of
-    vk's room.
+    Each phase takes the layers of `_levels`, and a backward pass drops
+    the nodes that cannot reach the sink inside that level graph.  A DFS
+    then scans the arcs left in the order of scipy's CSR rows (roots
+    ascending, a colour's vertices ascending, a vertex's colours
+    ascending and then the sink), and keeps each node's progress pointer
+    for the whole phase; the arcs it no longer sees lead only to dead
+    ends, so it finds scipy's paths.  Every path carries one unit from an
+    unassigned colour c0 through v1, c1, v2, ..., vk: augmenting gives c0
+    to v1, c1 to v2 and so on, and takes one unit of vk's room.
     """
     n = net.n
     arc_colours, arc_vertices = net.middle_arcs.T
     left = int(room.sum())
     while left:
-        # layers[i]: the middle arcs from colour layer i into the vertices
-        # first reached there.  Slot n of `unseen` is what owner -1 reads,
-        # and the colours of earlier layers have no arc into unseen vertices
-        # (nor has colour 0, the source's slot, any arc).
-        unseen = np.ones(n + 1, bool)
-        in_layer = owner < 0
-        layers = []
-        while True:
-            # take() gathers faster than indexing here
-            arcs = np.flatnonzero(in_layer.take(arc_colours) & unseen.take(arc_vertices))
-            if not len(arcs):
-                return net.d * n - left  # the sink is out of reach: the flow is maximum
-            layers.append(arcs)
-            vertices = arc_vertices[arcs]
-            if room[vertices].any():
-                break
-            unseen[vertices] = False
-            in_layer = ~unseen[owner]
+        layers, _ = _levels(net, owner, room)
+        if not layers:
+            return net.d * n - left  # the sink is out of reach: the flow is maximum
         # Backward pass: keep the arcs into live vertices, first those with
         # room, then the owners of live colours one layer further on.
         live = np.zeros(n + 1, bool)
@@ -326,35 +334,28 @@ def _later_phases(net: FlowNetwork, owner: np.ndarray, room: np.ndarray) -> int:
     return net.d * n
 
 
+def _witness(net: FlowNetwork, owner: np.ndarray) -> HallWitness:
+    """The witness of a maximum flow `owner` short of d*n.  No vertex with
+    room is reachable, so `_levels` returns the reached set: S is the
+    unassigned colours and those the reached vertices own, N(S) is the
+    reached vertices, and the deficiency is d*n minus the flow value.
+    The reached set is the same for every maximum flow."""
+    assigned = owner >= 0
+    _, unseen = _levels(net, owner, net.d - np.bincount(owner[assigned], minlength=net.n))
+    colours = np.flatnonzero(~assigned[1:] | ~unseen[owner[1:]]) + 1
+    neighbours = np.flatnonzero(~unseen[: net.n])
+    deficiency = net.d * net.n - int(assigned.sum())
+    return HallWitness(tuple(colours.tolist()), tuple(neighbours.tolist()), deficiency)
+
+
 def hall_witness(d_in: ColouredDigraph, d: int) -> HallWitness | None:
     """The colour set of maximum deficiency that lies inside all others, so
     the smallest, or None when the max-flow value reaches d*n.  Colours
-    and neighbours come in ascending order.
-
-    A value short of d*n means that no augmenting path is left, whether
-    `max_flow`'s later phases or scipy's solver found the owners.  Their
-    residual network has the arcs source -> each unassigned colour,
-    colour -> every adjacent vertex (a middle arc's flow of at most 1
-    stays below its capacity d*n when the value falls short), and
-    vertex -> each colour it owns.
-    """
+    and neighbours come in ascending order.  An extraction returns the
+    same witness from the flow it solved."""
     net = build_network(d_in, d)
     value, owner = max_flow(net)
-    if value >= d * d_in.n:
-        return None
-    colours, vertices = net.middle_arcs.T
-    assigned = np.flatnonzero(owner >= 0)
-    unassigned = np.flatnonzero(owner[1:] < 0) + 1
-    rows = np.concatenate([np.zeros_like(unassigned), colours, net.vertex_node(owner[assigned])])
-    cols = np.concatenate([unassigned, net.vertex_node(vertices), assigned])
-    residual = csr_matrix(
-        (np.ones(len(rows), bool), (rows, cols)), shape=(net.num_nodes, net.num_nodes)
-    )
-    # sorted: the source, colours, then vertices (a maximum flow cuts off the sink)
-    reached = np.sort(breadth_first_order(residual, net.source, return_predecessors=False))
-    split = np.searchsorted(reached, net.vertex_node(0))
-    neighbours = reached[split:] - net.vertex_node(0)
-    return HallWitness(tuple(reached[1:split].tolist()), tuple(neighbours.tolist()), d * d_in.n - value)
+    return _witness(net, owner) if value < d * d_in.n else None
 
 
 def _decompose(owner: np.ndarray, d_in: ColouredDigraph, d: int, head_rank: np.ndarray) -> RainbowDOut:
@@ -370,17 +371,15 @@ def _decompose(owner: np.ndarray, d_in: ColouredDigraph, d: int, head_rank: np.n
     return RainbowDOut(ColouredDigraph(d_in.n, d_in.kappa, d_in.arcs[used]), d)
 
 
-def _extract(d_in: ColouredDigraph, d: int, head_rank: np.ndarray) -> RainbowDOut | None:
+def _extract(d_in: ColouredDigraph, d: int, head_rank: np.ndarray) -> RainbowDOut | HallWitness:
     net = build_network(d_in, d)
     value, owner = max_flow(net)
-    if value < d * d_in.n:
-        return None
-    return _decompose(owner, d_in, d, head_rank)
+    return _witness(net, owner) if value < d * d_in.n else _decompose(owner, d_in, d, head_rank)
 
 
-def extract_rainbow_dout(d_in: ColouredDigraph, d: int) -> RainbowDOut | None:
-    """Extract a rainbow d-out subgraph, or None when the max-flow value
-    falls short of d*n.
+def extract_rainbow_dout(d_in: ColouredDigraph, d: int) -> RainbowDOut | HallWitness:
+    """Extract a rainbow d-out subgraph or, when the max-flow value falls
+    short of d*n, return the `HallWitness` that `hall_witness` gives.
 
     Where several heads carry the assigned colour from a vertex, the
     smallest head is chosen; `extract_via_permutation` removes that bias.
@@ -390,7 +389,7 @@ def extract_rainbow_dout(d_in: ColouredDigraph, d: int) -> RainbowDOut | None:
 
 def extract_via_permutation(
     d_in: ColouredDigraph, d: int, rng: np.random.Generator
-) -> RainbowDOut | None:
+) -> RainbowDOut | HallWitness:
     """Extraction whose tie-break keeps, among a vertex v's heads of the
     assigned colour, the head h of least pi_v(h) under a uniform random
     per-vertex relabelling pi, so the decomposition's deterministic

@@ -30,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .coupling import couple, truncate, truncation_counts
-from .flow import build_network, check_network_size, extract_via_permutation, max_flow
+from .flow import HallWitness, build_network, check_network_size, extract_via_permutation, max_flow
 from .graphs import (
     ColouredDigraph,
     coalesce_orientation,
@@ -203,7 +203,7 @@ def _pipeline_trial(config: ExperimentConfig, t: int) -> TrialRecord:
             return record("extraction-failed")
         return record("coupling-failed", flow_value=d * n, k_max=k_max)
     rainbow = extract_via_permutation(dgr, d, substream(config.seed, t, "pipe-perm"))
-    if rainbow is None:
+    if isinstance(rainbow, HallWitness):
         return record("extraction-failed")
     # The deterministic flow decomposition imposes an arc order; a fresh
     # per-vertex shuffle restores exchangeability before truncation.  The

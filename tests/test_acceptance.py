@@ -15,6 +15,7 @@ from scipy import stats
 from rainbowgraphs.bounds import log_L, theta
 from rainbowgraphs.coupling import couple
 from rainbowgraphs.flow import (
+    HallWitness,
     build_network,
     extract_rainbow_dout,
     extract_via_permutation,
@@ -94,7 +95,12 @@ def test_rainbow_extraction_invariants():
             rainbow = extract_via_permutation(d_in, d, rng)
         else:
             rainbow = extract_rainbow_dout(d_in, d)
-        if rainbow is None:
+        if isinstance(rainbow, HallWitness):
+            try:
+                rainbow.check(d_in, d)
+            except AssertionError:
+                violations += 1
+            violations += rainbow != hall_witness(d_in, d)
             continue
         successes += 1
         try:

@@ -1,6 +1,8 @@
+from pathlib import Path
+
 import pytest
 
-from rainbowgraphs import harness
+from rainbowgraphs import flow, harness
 from rainbowgraphs.cli import main
 
 
@@ -43,6 +45,18 @@ class TestGenExtract:
             assert code == 2
             assert "uncoloured arc" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, code", [("input_digraph.txt", 0), ("input_kappa30.txt", 1)])
+    @pytest.mark.parametrize("permute", [[], ["--permute"]])
+    def test_extract_solves_one_max_flow(self, name, code, permute, tmp_path, monkeypatch):
+        # an INFEASIBLE verdict prints the witness of the flow that decided it
+        calls = []
+        solve = flow.max_flow
+        monkeypatch.setattr(flow, "max_flow", lambda net: calls.append(net) or solve(net))
+        path = Path(__file__).resolve().parent / "golden" / name
+        args = ["extract", "--in", str(path), "--d", "2", *permute, "--out", str(tmp_path / "o")]
+        assert main(args) == code
+        assert len(calls) == 1
+
     def test_extract_permute(self, tmp_path):
         path = tmp_path / "d.txt"
         main(["gen", "--n", "6", "--p", "0.9", "--kappa", "20", "--seed", "3",
@@ -83,6 +97,11 @@ class TestOtherCommands:
             (["search", "--graph", str(graph), "--target", "grid"], "--size is required"),
             (["extract", "--in", str(digraph), "--d", "1"], "duplicate arc (0, 1)"),
             (["extract", "--in", str(tmp_path / "missing.txt"), "--d", "1"], "missing.txt"),
+            # options the run would ignore
+            (["gen", "--n", "5", "--p", "0.5", "--kappa", "10", "--split"], "--split needs --directed"),
+            (["bounds", "--n", "100", "--delta", "2", "--d", "2"], "--d and --kappa"),
+            (["bounds", "--n", "100", "--delta", "2", "--kappa", "300"], "--d and --kappa"),
+            (["bounds", "--n", "100", "--delta", "2", "--edges", "50"], "--edges needs --gamma"),
         ]:
             res = run_cli(*args)
             assert res.returncode == 2 and res.stdout == ""

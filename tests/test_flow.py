@@ -471,14 +471,19 @@ class TestExtraction:
         assert rainbow.digraph.arcs.tolist() == [[0, 1, 1], [1, 0, 2]]
 
     def test_empty_absent(self):
-        assert extract_rainbow_dout(ColouredDigraph(n=2, kappa=2, arcs=()), 1) is None
+        d_in = ColouredDigraph(n=2, kappa=2, arcs=())
+        witness = extract_rainbow_dout(d_in, 1)
+        assert isinstance(witness, HallWitness) and witness == hall_witness(d_in, 1)
+        witness.check(d_in, 1)
 
     def test_invariants_on_feasible_instances(self):
         successes = 0
         for seed in range(300):
             d_in = random_instance(seed, 8, 20, 0.7)
             res = extract_rainbow_dout(d_in, 2)
-            if res is None:
+            if isinstance(res, HallWitness):
+                assert res == hall_witness(d_in, 2)
+                res.check(d_in, 2)
                 continue
             res.check(d_in)
             assert res.digraph.out_degrees().tolist() == [2] * 8
@@ -493,7 +498,9 @@ class TestExtraction:
         for seed in range(50):
             d_in = random_instance(seed, 6, 15, 0.8)
             res = extract_rainbow_dout(d_in, 2)
-            if res is None:
+            if isinstance(res, HallWitness):
+                assert res == hall_witness(d_in, 2)
+                res.check(d_in, 2)
                 continue
             colours = res.digraph.arcs[:, 2].tolist()
             assert len(set(colours)) == len(colours)
@@ -509,8 +516,11 @@ class TestExtractViaPermutation:
             f = random_permutation_family(7, substream(seed, "f"))
             via = extract_via_permutation(d_in, 2, substream(seed, "f"))
             plain = extract_rainbow_dout(apply_permutations(d_in, f), 2)
-            assert (via is None) == (plain is None)
-            if via is not None:
+            assert isinstance(via, HallWitness) == isinstance(plain, HallWitness)
+            if isinstance(via, HallWitness):
+                assert via == hall_witness(d_in, 2)
+                via.check(d_in, 2)
+            else:
                 assert via.digraph == apply_permutations(plain.digraph, inverse(f))
                 successes += 1
         assert successes > 50
@@ -530,8 +540,11 @@ class TestExtractViaPermutation:
             via = extract_via_permutation(d_in, d, substream(seed, "p"))
             family = random_permutation_family(n, substream(seed, "p"))
             plain = extract_rainbow_dout(apply_permutations(d_in, family), d)
-            assert (via is None) == (plain is None)
-            if via is not None:
+            assert isinstance(via, HallWitness) == isinstance(plain, HallWitness)
+            if isinstance(via, HallWitness):
+                assert via == hall_witness(d_in, d)
+                via.check(d_in, d)
+            else:
                 assert via.digraph == apply_permutations(plain.digraph, inverse(family))
                 feasible += 1
                 tied += via.digraph != extract_rainbow_dout(d_in, d).digraph
@@ -550,7 +563,10 @@ class TestExtractViaPermutation:
         for seed in range(50):
             d_in = random_instance(seed, 6, 12, 0.7)
             via = extract_via_permutation(d_in, 1, substream(seed, "p"))
-            if via is not None:
+            if isinstance(via, HallWitness):
+                assert via == hall_witness(d_in, 1)
+                via.check(d_in, 1)
+            else:
                 via.check(d_in)
 
     def test_head_distribution_less_biased_than_tiebreak(self):
@@ -558,7 +574,7 @@ class TestExtractViaPermutation:
         # each tail have several heads; plain extraction always picks the
         # smallest head, permuted extraction picks uniformly within a class
         d_in = sample_coloured_digraph(5, 1.0, 5, substream(3))
-        assert extract_rainbow_dout(d_in, 1) is not None
+        assert not isinstance(extract_rainbow_dout(d_in, 1), HallWitness)
         trials = 20000
         # plain extraction is deterministic: one run counted trials times
         plain = extract_rainbow_dout(d_in, 1)
