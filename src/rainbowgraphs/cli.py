@@ -36,6 +36,19 @@ def _write_graph(g, out: str | None) -> None:
     _write(buf.getvalue(), out)
 
 
+def _resolve(args: argparse.Namespace, defaults: dict, unused: dict) -> None:
+    """Reject each option named in `unused` that was given, with the reason
+    its value maps to, then give every option in `defaults` that was not
+    given its default.  These options default to None, so a given value,
+    even the default one, can be told from none."""
+    for name, reason in unused.items():
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name} {reason}")
+    for name, value in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.split and not args.directed:
         raise ValueError("--split needs --directed")
@@ -50,6 +63,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
+    _resolve(args, {"seed": 0}, {} if args.permute else {"seed": "needs --permute"})
     text = Path(args.infile).read_text()
     dgr = edgelist.read_digraph(text)
     if args.permute:
@@ -74,6 +88,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         raise ValueError("--d and --kappa go together")
     if args.edges is not None and args.gamma is None:
         raise ValueError("--edges needs --gamma")
+    used = args.gamma is not None or args.d is not None
+    _resolve(args, {"p": 0.5}, {} if used else {"p": "needs --gamma or --d"})
     report = bounds_mod.theorem1_threshold(args.n, args.delta, args.eps, alt_parse=args.alt_parse)
     payload = {k: v for k, v in dataclasses.asdict(report).items() if v is not None}
     if args.gamma is not None:
@@ -135,6 +151,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _config_from_args(args: argparse.Namespace, mode: str) -> ExperimentConfig:
+    unused = {}
+    if args.mode != "pipeline":
+        unused = dict.fromkeys(("target", "size"), f"is not used by --mode {args.mode}")
+    if args.mode == "lemma4":
+        unused["kappa"] = "is not used by --mode lemma4"
+    _resolve(args, {"kappa": 100}, unused)
     return ExperimentConfig(
         n=args.n,
         p=args.p,
@@ -144,8 +166,8 @@ def _config_from_args(args: argparse.Namespace, mode: str) -> ExperimentConfig:
         trials=args.trials,
         seed=args.seed,
         mode=mode,
-        target_family=getattr(args, "target", None),
-        target_size=getattr(args, "size", None),
+        target_family=args.target,
+        target_size=args.size,
         sweep_axis=getattr(args, "axis", None),
         sweep_values=tuple(getattr(args, "grid", ()) or ()),
         jobs=args.jobs,
@@ -174,7 +196,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--n", type=int, default=50)
     sp.add_argument("--p", type=float, default=0.5)
-    sp.add_argument("--kappa", type=int, default=100)
+    sp.add_argument("--kappa", type=int, default=None, help="default 100; not used by lemma4")
     sp.add_argument("--eps", type=float, default=0.5)
     sp.add_argument("--d", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
@@ -208,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--permute", action="store_true")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=None, help="default 0; needs --permute")
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_extract)
 
@@ -218,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, default=0.5)
     sp.add_argument("--d", type=int, default=None)
     sp.add_argument("--kappa", type=int, default=None)
-    sp.add_argument("--p", type=float, default=0.5)
+    sp.add_argument("--p", type=float, default=None, help="default 0.5; needs --gamma or --d")
     sp.add_argument("--gamma", type=float, default=None)
     sp.add_argument("--edges", type=int, default=None)
     sp.add_argument("--alt-parse", action="store_true")

@@ -8,8 +8,16 @@ p1 and forgetting orientation reproduces the undirected model.
 
 Every coloured graph is one read-only (m, 3) int64 array of rows:
 (tail, head, colour) for a digraph, (u, v, colour) with u < v for a
-graph, validated once when the graph is built.  Samplers keep their
-per-row draws, so a seed gives the same graph whatever the storage.
+graph, validated once when the graph is built.
+
+Per-row Generator calls define the coloured samplers' streams: for each
+tail t, `sample_coloured_digraph` draws rng.random(n) < p1 with slot t
+dropped, then rng.integers(1, kappa + 1, k) for the row's k heads; for
+each u < n - 1, `sample_coloured_graph` draws rng.random(n - 1 - u) < p
+over the vertices above u, then the same colour call.  Both read those
+draws from blocks of the generator's raw words, so rng must be a PCG64
+Generator (as `rng.substream` and numpy's default_rng return) and
+kappa <= 2**32.
 """
 
 from __future__ import annotations
@@ -34,16 +42,19 @@ def _frozen_rows(rows, n: int, kappa: int, undirected: bool) -> np.ndarray:
     # bounds every column from both sides
     outside = a.view(np.uint64) >= np.array([n, n, kappa + 1], dtype=np.uint64)
     loops = u >= v if undirected else u == v
-    keys = u * n + v
-    keys.sort()
-    repeats = keys[1:] == keys[:-1]
     kind = "edge" if undirected else "arc"
     if np.count_nonzero(outside) or np.count_nonzero(loops):
         row = a[np.argmax(outside.any(axis=1) | loops)].tolist()
         raise ValueError(f"bad {kind} {tuple(row)} for n={n}, kappa={kappa}")
-    if np.count_nonzero(repeats):
-        key = keys[np.argmax(repeats)]
-        raise ValueError(f"duplicate {kind} ({key // n}, {key % n})")
+    keys = u * n + v
+    # rows in increasing pair order, as the samplers make them, repeat no
+    # pair; only other rows are sorted to find a repeat
+    if np.count_nonzero(keys[1:] <= keys[:-1]):
+        keys.sort()
+        repeats = keys[1:] == keys[:-1]
+        if np.count_nonzero(repeats):
+            key = keys[np.argmax(repeats)]
+            raise ValueError(f"duplicate {kind} ({key // n}, {key % n})")
     a.flags.writeable = False
     return a
 
@@ -152,16 +163,120 @@ def _check_colour_params(kappa: int) -> None:
         raise ValueError(f"need kappa >= 1, got {kappa}")
 
 
-_NO_ROWS = np.zeros(0, dtype=np.int64)
+# rows per block of `_coloured_rows`: about 1.1 MB of words at n=1000.
+# Of 32, 64, 128 and 256 rows, 128 gave the lowest peak resident set of a
+# lemma3 run at n=1000 (79.8 MB, against 81.6, 82.2 and 83.7 MB).
+_BLOCK_ROWS = 128
 
 
-def _stacked(heads: list[np.ndarray], colours: list[np.ndarray]) -> np.ndarray:
-    """Rows (i, h, colour) for the heads h of heads[i] and their colours,
-    row block by row block, with one concatenate per column."""
-    tails = np.repeat(np.arange(len(heads)), [len(h) for h in heads])
-    return np.column_stack(
-        [tails, np.concatenate([_NO_ROWS, *heads]), np.concatenate([_NO_ROWS, *colours])]
-    )
+def _lemire_draws(bg, k: int, kappa: int, reject: int, has: int, uint: int):
+    """k colours of `integers(1, kappa + 1, k)`, read word by word from bg
+    with the cached half (has, uint) first, and the cache they leave."""
+    colours = []
+    while len(colours) < k:
+        if has:
+            x, has = uint, 0
+        else:
+            word = bg.random_raw()
+            x, has, uint = word & 0xFFFFFFFF, 1, word >> 32
+        if x * kappa & 0xFFFFFFFF >= reject:
+            colours.append(1 + (x * kappa >> 32))
+    return colours, has, uint
+
+
+def _coloured_rows(rng: np.random.Generator, n: int, p: float, kappa: int, directed: bool) -> np.ndarray:
+    """The rows (t, head, colour) that the loop
+
+        for t in range(n if directed else n - 1):
+            mask = rng.random(n if directed else n - 1 - t) < p
+            if directed:
+                mask[t] = False
+            heads = np.flatnonzero(mask) + (0 if directed else t + 1)
+            if len(heads):
+                colours = rng.integers(1, kappa + 1, len(heads))
+
+    draws, read from blocks of rng's raw PCG64 words, with rng left where
+    the loop leaves it.  A word w gives the uniform (w >> 11) / 2**53.  A
+    colour reads a 32-bit half x, the low half of a fresh word first (the
+    high half stays cached in the generator, across calls), and is
+    Lemire's 1 + (x * kappa >> 32), with x redrawn while x * kappa % 2**32
+    is below (2**32 - kappa) % kappa.  So the draws of a block of rows
+    read, in order, the halves of the words between the rows' windows.  A
+    walk over the rows counts each row's hits to find those words; heads
+    and colours are then read with array operations.  A block ends at its
+    first redrawn colour, whose row is drawn word by word.
+    """
+    bg = rng.bit_generator
+    if type(bg) is not np.random.PCG64:
+        raise ValueError(f"need a PCG64 generator, got {type(bg).__name__}")
+    if kappa > 2**32:
+        raise ValueError(f"need kappa <= 2**32, got {kappa}")
+    kappa = int(kappa)  # a numpy integer would overflow x * kappa below
+    mark = bg.state  # buf[0] is word `base` of the stream from here
+    has, uint = mark["has_uint32"], mark["uinteger"]
+    cut = math.ceil(p * 2**53)  # (w >> 11) / 2**53 < p  iff  w < cut << 11
+    reject = (2**32 - kappa) % kappa
+    reads = int(kappa > 1)  # integers(1, 2) reads no words
+    rows = n if directed else n - 1
+    blocks, buf, base, row = [], np.zeros(0, np.uint64), 0, 0
+    while row < rows:
+        window = [n if directed else n - 1 - t for t in range(row, min(row + _BLOCK_ROWS, rows))]
+        # the rows' expected words (a hit reads half a colour word), and
+        # room for the first row at its longest
+        need = int(sum(window) * (1 + p / 2)) + 2 * window[0]
+        if len(buf) < need:
+            buf = np.concatenate([buf, bg.random_raw(need - len(buf))])
+        hit = buf < np.uint64(cut << 11) if cut < 2**53 else np.ones(len(buf), bool)
+        # per row: tail, hits, window start, and the cache (has, the word
+        # whose high half is `uint`, -1 before buf) at its first colour
+        walk, heads, spans, at, src, entry = [], [], [], 0, -1, has
+        for t, width in zip(range(row, rows), window):
+            if at + width > len(buf):
+                break
+            if directed and hit[at + t]:
+                hit[at + t] = False  # no loop at t
+            slots = hit[at : at + width].nonzero()[0]
+            fresh = max(len(slots) - has, 0) * reads
+            end = at + width + (fresh + 1) // 2  # past the row's colour words
+            if end > len(buf):
+                break
+            walk += (t, len(slots), at, has, src)
+            heads.append(slots if directed else slots + t + 1)
+            if end > at + width:
+                spans.append(buf[at + width : end])
+                src = end - 1
+            has = fresh & 1 if len(slots) and reads else has
+            at = end
+        tails, counts = np.fromiter(walk, np.int64).reshape(-1, 5)[:, :2].T
+        block = np.empty((counts.sum(), 3), np.int64)
+        block[:, 0] = np.repeat(tails, counts)
+        block[:, 1] = np.concatenate(heads)
+        last = len(tails) - 1
+        if reads:
+            halves = np.concatenate([buf[:0], *spans]).astype("<u8", copy=False).view("<u4")
+            x = np.concatenate([np.full(entry, uint, np.uint32), halves])[: len(block)]
+            m = x * np.uint64(kappa)
+            block[:, 2] = (m >> 32) + 1
+            redrawn = np.flatnonzero((m & 0xFFFFFFFF) < reject)
+            if len(redrawn):
+                last = int(np.searchsorted(np.cumsum(counts), redrawn[0], "right"))
+                t, k, at, has, src = walk[5 * last : 5 * last + 5]
+                block = block[: counts[: last + 1].sum()]
+                bg.state = mark
+                bg.advance(base + at + window[t - row])
+                uint = int(buf[src] >> 32) if src >= 0 else uint
+                block[len(block) - k :, 2], has, uint = _lemire_draws(bg, k, kappa, reject, has, uint)
+                mark, buf, base, at = bg.state, buf[:0], 0, 0
+            elif src >= 0:
+                uint = int(buf[src] >> 32)
+        else:
+            block[:, 2] = 1
+        blocks.append(block)
+        buf, base, row = buf[at:], base + at, int(tails[last]) + 1
+    bg.state = mark
+    bg.advance(base)
+    bg.state = {**bg.state, "has_uint32": has, "uinteger": uint}
+    return np.concatenate(blocks) if blocks else np.zeros((0, 3), np.int64)
 
 
 def sample_coloured_graph(
@@ -172,12 +287,7 @@ def sample_coloured_graph(
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     _check_colour_params(kappa)
-    heads, colours = [], []
-    for u in range(n - 1):
-        heads.append(np.flatnonzero(rng.random(n - 1 - u) < p) + u + 1)
-        if len(heads[-1]):
-            colours.append(rng.integers(1, kappa + 1, size=len(heads[-1])))
-    return ColouredGraph(n=n, kappa=kappa, edges=_stacked(heads, colours))
+    return ColouredGraph(n=n, kappa=kappa, edges=_coloured_rows(rng, n, p, kappa, directed=False))
 
 
 def sample_coloured_digraph(
@@ -188,14 +298,7 @@ def sample_coloured_digraph(
     if not 0.0 <= p1 <= 1.0:
         raise ValueError(f"p1 must lie in [0, 1], got {p1}")
     _check_colour_params(kappa)
-    heads, colours = [], []
-    for t in range(n):
-        mask = rng.random(n) < p1
-        mask[t] = False
-        heads.append(np.flatnonzero(mask))
-        if len(heads[-1]):
-            colours.append(rng.integers(1, kappa + 1, size=len(heads[-1])))
-    return ColouredDigraph(n=n, kappa=kappa, arcs=_stacked(heads, colours))
+    return ColouredDigraph(n=n, kappa=kappa, arcs=_coloured_rows(rng, n, p1, kappa, directed=True))
 
 
 def coalesce_orientation(

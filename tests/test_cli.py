@@ -88,7 +88,7 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert (code == 0 and out.startswith("map:")) or out == "NONE\n"
 
-    def test_bad_input_exits_2_with_one_line(self, tmp_path, run_cli):
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, run_cli, capsys):
         # exit 1 is a valid NONE/INFEASIBLE verdict, so bad input has its own code
         graph, digraph = tmp_path / "g.txt", tmp_path / "d.txt"
         graph.write_text("4 3\n0 1 1\n1 2 2\n")
@@ -107,6 +107,28 @@ class TestOtherCommands:
             assert res.returncode == 2 and res.stdout == ""
             assert res.stderr.startswith("error: ") and message in res.stderr
             assert res.stderr.count("\n") == 1
+        # options the run would ignore, given with their default values or
+        # others; in this process, as the exit code is main's return value
+        for args, message in [
+            (["extract", "--in", str(digraph), "--d", "1", "--seed", "7"], "--seed needs --permute"),
+            (["bounds", "--n", "100", "--delta", "2", "--p", "0.01"], "--p needs --gamma or --d"),
+            (["trial", "--mode", "lemma3", "--n", "5", "--trials", "1", "--target", "cycle"],
+             "--target is not used by --mode lemma3"),
+            (["trial", "--mode", "lemma4", "--n", "5", "--trials", "1", "--size", "5"],
+             "--size is not used by --mode lemma4"),
+            (["sweep", "--mode", "lemma3", "--axis", "p", "--grid", "0.3", "--n", "5", "--trials", "1",
+              "--size", "5"], "--size is not used by --mode lemma3"),
+            (["sweep", "--mode", "lemma4", "--axis", "p", "--grid", "0.3", "--n", "5", "--trials", "1",
+              "--target", "path"], "--target is not used by --mode lemma4"),
+            (["trial", "--mode", "lemma4", "--n", "5", "--trials", "1", "--kappa", "100"],
+             "--kappa is not used by --mode lemma4"),
+            (["sweep", "--mode", "lemma4", "--axis", "d", "--grid", "1", "--n", "5", "--trials", "1",
+              "--kappa", "9"], "--kappa is not used by --mode lemma4"),
+        ]:
+            assert main(args) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and message in err
+            assert err.count("\n") == 1
 
     @pytest.mark.parametrize("args", [
         ["sweep", "--mode", "lemma3", "--axis", "kappa", "--grid", "30", "3000000000",

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from rainbowgraphs import graphs
 from rainbowgraphs.graphs import (
     ColouredDigraph,
     ColouredGraph,
     PermutationFamily,
+    _frozen_rows,
     apply_permutations,
     coalesce_orientation,
     random_permutation_family,
@@ -35,6 +37,84 @@ def other_vertex_heads(order):
     """Heads of a d-out sample whose row v picks the order[v, j]-th
     smallest vertex other than v, row by row."""
     return [int(i) + (i >= v) for v in range(len(order)) for i in order[v]]
+
+
+def loop_digraph_rows(n, p1, kappa, rng):
+    """The rows of `sample_coloured_digraph`, drawn by the per-row loop
+    whose Generator calls define its stream."""
+    rows = []
+    for t in range(n):
+        mask = rng.random(n) < p1
+        mask[t] = False
+        heads = np.flatnonzero(mask)
+        if len(heads):
+            colours = rng.integers(1, kappa + 1, size=len(heads))
+            rows.extend([t, int(h), int(c)] for h, c in zip(heads, colours))
+    return rows
+
+
+def loop_graph_rows(n, p, kappa, rng):
+    """The rows of `sample_coloured_graph`, drawn by its per-row loop."""
+    rows = []
+    for u in range(n - 1):
+        heads = np.flatnonzero(rng.random(n - 1 - u) < p) + u + 1
+        if len(heads):
+            colours = rng.integers(1, kappa + 1, size=len(heads))
+            rows.extend([u, int(v), int(c)] for v, c in zip(heads, colours))
+    return rows
+
+
+def frozen_rows_reference(rows, n, kappa, undirected):
+    """`_frozen_rows` as it was before its sort skip: every key is sorted."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    a = np.array(rows, dtype=np.int64).reshape(len(rows), 3)
+    u, v = a[:, 0], a[:, 1]
+    outside = a.view(np.uint64) >= np.array([n, n, kappa + 1], dtype=np.uint64)
+    loops = u >= v if undirected else u == v
+    keys = u * n + v
+    keys.sort()
+    repeats = keys[1:] == keys[:-1]
+    kind = "edge" if undirected else "arc"
+    if np.count_nonzero(outside) or np.count_nonzero(loops):
+        row = a[np.argmax(outside.any(axis=1) | loops)].tolist()
+        raise ValueError(f"bad {kind} {tuple(row)} for n={n}, kappa={kappa}")
+    if np.count_nonzero(repeats):
+        key = keys[np.argmax(repeats)]
+        raise ValueError(f"duplicate {kind} ({key // n}, {key % n})")
+    a.flags.writeable = False
+    return a
+
+
+# the sampler sweep: kappa at the edges of Lemire's 32-bit path (1 reads
+# no words, 2**32 is a plain 32-bit draw, about half of all draws are
+# redrawn just above 2**31) and p at both ends
+SWEEP_KAPPAS = (1, 2, 3, 7, 80, 3000, 2**31 - 1, 2**31 + 1, 3 * 2**30 + 7, 2**32 - 2, 2**32 - 1, 2**32)
+SWEEP_PS = (0.0, 0.05, 0.3, 0.5, 0.9, 1.0)
+
+
+def sweep_configs(count, seed):
+    """(n, p, kappa, halves drawn before the sampler) per config: 1 leaves
+    a cached half, 2 a used one, so a third start with a cached half."""
+    r = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(r.integers(1, 40))
+        p = SWEEP_PS[i % 7] if i % 7 < 6 else float(r.random())
+        kappa = SWEEP_KAPPAS[i % 13] if i % 13 < 12 else int(r.integers(1, 2**32 + 1))
+        yield n, p, kappa, i % 3
+
+
+def assert_draw_for_draw(sampler, loop, n, p, kappa, warm, *keys):
+    """The sampler's rows, the generator state it leaves and the next draws
+    of the reused generator are the loop's."""
+    rng, twin = substream(*keys), substream(*keys)
+    rng.integers(1, 1000, warm), twin.integers(1, 1000, warm)
+    g = sampler(n, p, kappa, rng)
+    rows = g.arcs if isinstance(g, ColouredDigraph) else g.edges
+    assert rows.tolist() == loop(n, p, kappa, twin), (n, p, kappa, warm)
+    assert rng.bit_generator.state == twin.bit_generator.state, (n, p, kappa, warm)
+    assert rng.integers(1, 7, 5).tolist() == twin.integers(1, 7, 5).tolist()
+    assert rng.random(3).tolist() == twin.random(3).tolist()
 
 
 class StubGenerator:
@@ -246,6 +326,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             ColouredDigraph(n=0, kappa=1, arcs=())
 
+    @settings(max_examples=400, deadline=None)
+    @given(n=st.integers(0, 5), kappa=st.integers(1, 3), undirected=st.booleans(), data=st.data())
+    def test_accepts_and_rejects_as_the_sorting_reference(self, n, kappa, undirected, data):
+        # entries one past each end: negative endpoints and colours, v = n
+        # and colour kappa + 1; small ranges make repeats and loops common
+        triple = st.tuples(st.integers(-1, n), st.integers(-1, n), st.integers(-1, kappa + 1))
+        rows = data.draw(st.lists(triple, max_size=10))
+        if data.draw(st.booleans()):
+            rows = sorted(rows)  # increasing pairs, the samplers' order, when valid
+
+        def outcome(validate):
+            try:
+                a = validate(rows, n, kappa, undirected)
+            except ValueError as exc:
+                return str(exc)
+            assert not a.flags.writeable and a.dtype == np.int64
+            return a.tolist()
+
+        assert outcome(_frozen_rows) == outcome(frozen_rows_reference)
+
     @pytest.mark.parametrize(
         "perms",
         [
@@ -358,6 +458,43 @@ class TestLoopReferences:
                 pi[w] = others[idx]
             want.append(pi)
         assert random_permutation_family(n, substream(50, n)).perms.tolist() == want
+
+    @pytest.mark.parametrize(
+        "sampler, loop", [(sample_coloured_digraph, loop_digraph_rows), (sample_coloured_graph, loop_graph_rows)]
+    )
+    def test_samplers_match_loop_on_config_sweep(self, sampler, loop):
+        for i, (n, p, kappa, warm) in enumerate(sweep_configs(1500, 60)):
+            assert_draw_for_draw(sampler, loop, n, p, kappa, warm, 61, i)
+
+    @pytest.mark.parametrize(
+        "sampler, loop, n, p, kappa, seed, redraws",
+        [
+            # substream(62, 0)'s sample redraws one colour, in a word-by-word row
+            (sample_coloured_digraph, loop_digraph_rows, 1000, split_probability(0.3).p1, 3000, 0, True),
+            (sample_coloured_digraph, loop_digraph_rows, 12, split_probability(0.9).p1, 80, 4, False),
+            # about half of all draws redrawn; a numpy kappa, whose products need 64 bits
+            (sample_coloured_digraph, loop_digraph_rows, 400, 0.3, np.int64(2**31 + 1), 5, True),
+            (sample_coloured_graph, loop_graph_rows, 400, 0.3, 2**31 + 1, 6, True),
+            # rows of every width, across several blocks
+            (sample_coloured_graph, loop_graph_rows, 700, 0.5, 3, 7, False),
+        ],
+    )
+    def test_samplers_match_loop_on_large_instances(self, sampler, loop, n, p, kappa, seed, redraws, monkeypatch):
+        redrawn, draw = [], graphs._lemire_draws
+        monkeypatch.setattr(graphs, "_lemire_draws", lambda *a: redrawn.append(a) or draw(*a))
+        for warm in (0, 1):
+            assert_draw_for_draw(sampler, loop, n, p, kappa, warm, 62, seed)
+        assert bool(redrawn) == redraws
+
+    @pytest.mark.parametrize("sampler", [sample_coloured_digraph, sample_coloured_graph])
+    def test_samplers_reject_other_generators_and_wide_kappa_before_drawing(self, sampler):
+        for make, kappa in [(lambda: np.random.Generator(np.random.MT19937(63)), 5), (lambda: substream(63), 2**32 + 1)]:
+            rng, twin = make(), make()
+            rng.integers(1, 1000, 1), twin.integers(1, 1000, 1)  # with a cached half
+            with pytest.raises(ValueError):
+                sampler(6, 0.5, kappa, rng)
+            assert rng.integers(1, 1000, 3).tolist() == twin.integers(1, 1000, 3).tolist()
+            assert rng.random(3).tolist() == twin.random(3).tolist()
 
     def test_coalesce_orientation_matches_loop(self):
         for t in range(50):

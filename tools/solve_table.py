@@ -4,7 +4,8 @@
 
 A CHECKOUT is a source tree with the package under `src/`; the default is
 the one holding this script.  Each checkout's package is imported into
-this one process under its own name.  Each config's networks are sampled
+this one process under its own name, in reverse order on an odd seed, so
+two runs can show whether the import order favours a copy.  Each config's networks are sampled
 from the seed (as a lemma3 trial does, with p1 = split_probability(p).p1)
 and sorted into those Dinic's first phase saturates and the short ones;
 `rejected` counts the short networks with fewer than d*n colours or a
@@ -59,12 +60,21 @@ def load(checkout: Path, name: str):
     return package
 
 
+def load_all(checkouts: list[Path], seed: int) -> list:
+    """The packages of the checkouts, in their order, imported in reverse
+    order when the seed is odd."""
+    packages = [None] * len(checkouts)
+    for i in reversed(range(len(checkouts))) if seed % 2 else range(len(checkouts)):
+        packages[i] = load(checkouts[i], f"checkout{i}")
+    return packages
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkouts", nargs="*", type=Path, default=[Path(__file__).resolve().parents[1]])
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    packages = [load(checkout, f"checkout{i}") for i, checkout in enumerate(args.checkouts)]
+    packages = load_all(args.checkouts, args.seed)
     sample = packages[0]
     print("\t".join(["config", "kind", "count", "rejected", "slower", *map(str, args.checkouts)]))
     slower = 0
