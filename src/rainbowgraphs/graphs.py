@@ -164,8 +164,8 @@ def _check_colour_params(kappa: int) -> None:
 
 
 # rows per block of `_coloured_rows`: about 1.1 MB of words at n=1000.
-# Of 32, 64, 128 and 256 rows, 128 gave the lowest peak resident set of a
-# lemma3 run at n=1000 (79.8 MB, against 81.6, 82.2 and 83.7 MB).
+# Of 32, 64, 128 and 256 rows, 128 gave lemma3 runs at n=1000 the lowest
+# peak resident set.
 _BLOCK_ROWS = 128
 
 

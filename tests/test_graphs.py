@@ -404,13 +404,7 @@ class TestLoopReferences:
 
     def test_sample_coloured_graph_matches_loop(self):
         n, p, kappa = 9, 0.4, 5
-        rng = substream(54)
-        want = []
-        for u in range(n - 1):
-            heads = np.nonzero(rng.random(n - 1 - u) < p)[0] + u + 1
-            if len(heads):
-                colours = rng.integers(1, kappa + 1, size=len(heads))
-                want.extend([u, int(v), int(c)] for v, c in zip(heads, colours))
+        want = loop_graph_rows(n, p, kappa, substream(54))
         assert sample_coloured_graph(n, p, kappa, substream(54)).edges.tolist() == want
 
     @pytest.mark.parametrize("n, d", [(2, 1), (6, 2), (9, 8)])

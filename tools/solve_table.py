@@ -2,22 +2,23 @@
 
     python3 tools/solve_table.py [--seed N] [CHECKOUT ...]
 
-A CHECKOUT is a source tree with the package under `src/`; the default is
-the one holding this script.  Each checkout's package is imported into
-this one process under its own name, in reverse order on an odd seed, so
-two runs can show whether the import order favours a copy.  Each config's networks are sampled
-from the seed (as a lemma3 trial does, with p1 = split_probability(p).p1)
-and sorted into those Dinic's first phase saturates and the short ones;
-`rejected` counts the short networks with fewer than d*n colours or a
-vertex adjacent to fewer than d.  Every checkout solves each network 3
-times, the checkouts taking turns call by call in alternating order, so
-drift in the machine's speed favours none of them.  The table gives, per
-checkout, the median over the networks of each kind of the network's
-best call in ms.  With two or more checkouts, `slower` counts the row's
-networks whose best call in the last checkout is slower than in the first
-(a tie counts for neither); a row of at least 10 networks is marked when
-that count reaches nine tenths of them, and the script exits 1 if one
-is.  Nothing is written to disk.
+A CHECKOUT is a source tree with the package under `src/`; the default
+is the one holding this script.  Each checkout's package is imported
+into this one process under its own name, in reverse order on an odd
+seed, so two runs can show whether the import order favours a copy.
+Each config's networks are sampled from the seed (as a lemma3 trial
+does, with p1 = split_probability(p).p1) and sorted into those Dinic's
+first phase saturates and the short ones; `rejected` counts the short
+networks with fewer than d*n colours or a vertex adjacent to fewer than
+d.  Every checkout solves each network 3 times, the checkouts taking
+turns call by call in alternating order, so drift in the machine's speed
+favours none of them.  The table gives, per checkout, the median over
+the networks of each kind of the network's best call in ms.  With two or
+more checkouts, `slower` counts the row's networks whose best call in
+the last checkout is slower than in the first (a tie counts for
+neither); a row of at least 10 networks is marked when that count
+reaches nine tenths of them, and the script exits 1 if one is.  Nothing
+is written to disk.
 """
 
 from __future__ import annotations
