@@ -48,7 +48,9 @@ def truncate(dgr: ColouredDigraph, d: int, counts: np.ndarray) -> ColouredDigrap
     # position i of the tail-sorted order is kept when it falls before its
     # group's offset plus its tail's count
     limit = np.repeat(np.cumsum(sizes) - sizes + counts, sizes)
-    return ColouredDigraph(dgr.n, dgr.kappa, dgr.arcs[order[np.arange(len(order)) < limit]])
+    arcs = dgr.arcs[order[np.arange(len(order)) < limit]]
+    arcs.flags.writeable = False
+    return ColouredDigraph(dgr.n, dgr.kappa, arcs)
 
 
 def couple(

@@ -8,7 +8,10 @@ p1 and forgetting orientation reproduces the undirected model.
 
 Every coloured graph is one read-only (m, 3) int64 array of rows:
 (tail, head, colour) for a digraph, (u, v, colour) with u < v for a
-graph, validated once when the graph is built.
+graph, validated once when the graph is built.  A graph keeps, without a
+copy, an int64 (m, 3) C-contiguous array that is read-only, as is every
+array in its `.base` chain, and copies any other rows; so the package's
+producers mark their fresh arrays read-only before building a graph.
 
 Per-row Generator calls define the coloured samplers' streams: for each
 tail t, `sample_coloured_digraph` draws rng.random(n) < p1 with slot t
@@ -30,13 +33,39 @@ import numpy as np
 UNCOLOURED = 0
 
 
+def _shareable(rows) -> bool:
+    """Whether a graph may keep rows without a copy: an int64 (m, 3)
+    C-contiguous array, read-only as is every array in its `.base` chain."""
+    a = rows
+    while isinstance(a, np.ndarray) and not a.flags.writeable:
+        a = a.base
+    return a is None and rows.dtype == np.int64 and rows.shape[1:] == (3,) and rows.flags.c_contiguous
+
+
+def _int64_rows(rows) -> np.ndarray:
+    """A new (m, 3) int64 array of the triples in rows, whose entries must
+    be integers that int64 holds."""
+    a = np.array(rows)
+    if a.dtype != np.int64:
+        if a.dtype.kind not in "biuf":
+            raise ValueError(f"rows must hold integers, got {a.dtype} entries")
+        with np.errstate(invalid="ignore"):  # a float beyond int64 casts to a junk value
+            b = a.astype(np.int64)
+        wrong = b != a
+        if np.count_nonzero(wrong):
+            raise ValueError(f"rows must hold int64 integers, got {a[wrong][0].item()!r}")
+        a = b
+    return a.reshape(len(a), 3)  # raises unless m triples
+
+
 def _frozen_rows(rows, n: int, kappa: int, undirected: bool) -> np.ndarray:
-    """Rows (u, v, colour) as a read-only (m, 3) int64 copy, after checking
+    """Rows (u, v, colour) as a read-only (m, 3) int64 array, after checking
     n >= 1, endpoints in [0, n), no self-loop (u < v for an undirected
-    graph), no repeated pair and colour 0 or in [1, kappa]."""
+    graph), no repeated pair and colour 0 or in [1, kappa].  Rows that
+    the graph may keep (`_shareable`) are checked in place."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    a = np.array(rows, dtype=np.int64).reshape(len(rows), 3)  # raises unless m triples
+    a = rows if _shareable(rows) else _int64_rows(rows)
     u, v = a[:, 0], a[:, 1]
     # negative entries wrap to huge unsigned values, so one comparison
     # bounds every column from both sides
@@ -169,6 +198,13 @@ def _check_colour_params(kappa: int) -> None:
 _BLOCK_ROWS = 128
 
 
+def _row_capacity(pairs: int, p: float) -> int:
+    """Rows to allocate for a sample of `pairs` pairs, each present with
+    probability p: at most `pairs`, and 8 sqrt(mu) + 16 above the mean mu."""
+    mu = pairs * p
+    return min(pairs, math.floor(mu + 8 * math.sqrt(mu) + 16))
+
+
 def _lemire_draws(bg, k: int, kappa: int, reject: int, has: int, uint: int):
     """k colours of `integers(1, kappa + 1, k)`, read word by word from bg
     with the cached half (has, uint) first, and the cache they leave."""
@@ -204,7 +240,9 @@ def _coloured_rows(rng: np.random.Generator, n: int, p: float, kappa: int, direc
     read, in order, the halves of the words between the rows' windows.  A
     walk over the rows counts each row's hits to find those words; heads
     and colours are then read with array operations.  A block ends at its
-    first redrawn colour, whose row is drawn word by word.
+    first redrawn colour, whose row is drawn word by word.  Every block
+    writes its rows into one array of `_row_capacity` rows, which grows
+    only when a sample has more; the filled prefix comes back read-only.
     """
     bg = rng.bit_generator
     if type(bg) is not np.random.PCG64:
@@ -218,7 +256,8 @@ def _coloured_rows(rng: np.random.Generator, n: int, p: float, kappa: int, direc
     reject = (2**32 - kappa) % kappa
     reads = int(kappa > 1)  # integers(1, 2) reads no words
     rows = n if directed else n - 1
-    blocks, buf, base, row = [], np.zeros(0, np.uint64), 0, 0
+    out = np.empty((_row_capacity(n * (n - 1) // (1 if directed else 2), p), 3), np.int64)
+    filled, buf, base, row = 0, np.zeros(0, np.uint64), 0, 0
     while row < rows:
         window = [n if directed else n - 1 - t for t in range(row, min(row + _BLOCK_ROWS, rows))]
         # the rows' expected words (a hit reads half a colour word), and
@@ -248,7 +287,10 @@ def _coloured_rows(rng: np.random.Generator, n: int, p: float, kappa: int, direc
             has = fresh & 1 if len(slots) and reads else has
             at = end
         tails, counts = np.fromiter(walk, np.int64).reshape(-1, 5)[:, :2].T
-        block = np.empty((counts.sum(), 3), np.int64)
+        size = sum(walk[1::5])
+        if filled + size > len(out):
+            out = np.concatenate([out[:filled], np.empty((max(len(out), size), 3), np.int64)])
+        block = out[filled : filled + size]
         block[:, 0] = np.repeat(tails, counts)
         block[:, 1] = np.concatenate(heads)
         last = len(tails) - 1
@@ -271,12 +313,13 @@ def _coloured_rows(rng: np.random.Generator, n: int, p: float, kappa: int, direc
                 uint = int(buf[src] >> 32)
         else:
             block[:, 2] = 1
-        blocks.append(block)
+        filled += len(block)
         buf, base, row = buf[at:], base + at, int(tails[last]) + 1
     bg.state = mark
     bg.advance(base)
     bg.state = {**bg.state, "has_uint32": has, "uinteger": uint}
-    return np.concatenate(blocks) if blocks else np.zeros((0, 3), np.int64)
+    out.flags.writeable = False
+    return out[:filled]
 
 
 def sample_coloured_graph(
@@ -316,7 +359,9 @@ def coalesce_orientation(
     # the colour of the pair's second stored arc
     pick[twins] += rng.random(np.count_nonzero(twins)) < 0.5
     rows = order[pick]
-    return ColouredGraph(d.n, d.kappa, np.column_stack([u[rows], v[rows], c[rows]]))
+    edges = np.column_stack([u[rows], v[rows], c[rows]])
+    edges.flags.writeable = False
+    return ColouredGraph(d.n, d.kappa, edges)
 
 
 # rows per selection block of `sample_d_out`: 2 MB of indices at n=1000
@@ -353,6 +398,7 @@ def sample_d_out(n: int, d: int, rng: np.random.Generator) -> ColouredDigraph:
         idx[tied] = np.argsort(keys[tied], axis=1)[:, :width]
     heads = _other_vertex(idx[:, :d]).ravel()
     arcs = np.column_stack([np.repeat(np.arange(n), d), heads, np.full(n * d, UNCOLOURED)])
+    arcs.flags.writeable = False
     return ColouredDigraph(n=n, kappa=0, arcs=arcs)
 
 

@@ -212,6 +212,7 @@ def _pipeline_trial(config: ExperimentConfig, t: int) -> TrialRecord:
     arcs = rainbow.digraph.arcs.copy()
     for v in range(n):
         shuffle_rng.shuffle(arcs[v * d : (v + 1) * d])
+    arcs.flags.writeable = False
     inner = truncate(ColouredDigraph(n=n, kappa=rainbow.digraph.kappa, arcs=arcs), d, counts)
     host = coalesce_orientation(inner, substream(config.seed, t, "pipe-coalesce"))
     h = _padded_target(config.target_family, config.target_size, config.seed, n)

@@ -171,6 +171,24 @@ class TestBuildNetwork:
             assert len(net.middle_arcs) == len(expected)
             assert {(c, t) for c, t in net.middle_arcs.tolist()} == expected
 
+    def test_middle_arcs_are_the_unique_colour_tail_pairs(self):
+        # sampled rows come sorted by pair; coloured d-out rows come in
+        # choice order, and with few colours repeat (colour, tail) pairs
+        for seed in range(30):
+            rng = substream(seed, "unique")
+            n, kappa, d = int(rng.integers(1, 40)), int(rng.integers(1, 12)), int(rng.integers(1, 4))
+            sampled = random_instance(seed, n, kappa, float(rng.random()))
+            graphs = [sampled]
+            if n > 1:
+                out = sample_d_out(n, int(rng.integers(1, n)), rng)
+                colours = rng.integers(1, kappa + 1, len(out.arcs))
+                graphs.append(ColouredDigraph(n, kappa, np.column_stack([out.arcs[:, :2], colours])))
+            for d_in in graphs:
+                net = build_network(d_in, d)
+                want = np.unique(d_in.arcs[:, [2, 0]], axis=0).reshape(-1, 2)
+                assert net.middle_arcs.tolist() == want.tolist(), seed
+                assert net.middle_arcs.dtype == np.int64 and not net.middle_arcs.flags.writeable
+
     def test_rejects_sizes_beyond_int32(self):
         # scipy's max-flow takes int32: d*n = 2**31 would wrap to a
         # negative capacity, and so would a sink node past 2**31 - 1
@@ -186,8 +204,8 @@ class TestBuildNetwork:
         # become a source->vertex arc of capacity d*n
         with pytest.raises(ValueError, match="uncoloured arc"):
             build_network(sample_d_out(5, 2, substream(0)), 2)
-        mixed = ColouredDigraph(n=3, kappa=2, arcs=((0, 1, 0), (1, 0, 1), (2, 0, 2)))
-        with pytest.raises(ValueError, match="uncoloured arc with tail 0"):
+        mixed = ColouredDigraph(n=3, kappa=2, arcs=((2, 1, 0), (0, 1, 0), (1, 0, 1), (2, 0, 2)))
+        with pytest.raises(ValueError, match="^uncoloured arc with tail 0 has no colour node$"):
             build_network(mixed, 1)
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -326,6 +327,34 @@ class TestValidation:
         with pytest.raises(ValueError):
             ColouredDigraph(n=0, kappa=1, arcs=())
 
+    @pytest.mark.parametrize(
+        "rows, entry",
+        [
+            ([(0, 1.9, 1), (2, 0, 2.99)], "1.9"),  # not truncated to (0, 1, 1), (2, 0, 2)
+            ([("0", "1", "1")], "<U1"),  # strings are not parsed
+            (np.array([[0, 1, 1e19]]), "1e+19"),  # beyond int64, not wrapped to -2**63
+            ([(0, 1, float("nan"))], "nan"),
+            (np.array([[0, 1, 2**63]], dtype=np.uint64), "9223372036854775808"),
+            ([(0, 1, 2**70)], "object"),
+        ],
+    )
+    def test_rejects_entries_that_are_not_int64_integers(self, rows, entry):
+        for graph in (ColouredDigraph, ColouredGraph):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # and no cast warning
+                with pytest.raises(ValueError, match="rows must hold") as info:
+                    graph(3, 2, rows)
+            assert entry in str(info.value)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[(0, 1.0, 1), (2, 0, 2.0)], np.array([[0, 1, 1], [2, 0, 2]], dtype=np.uint8),
+         np.array([[0, 1, 1], [2, 0, 2]], dtype=">i8"), [(0, True, True), (2, False, 2)]],
+    )
+    def test_accepts_integral_entries_of_any_numeric_type(self, rows):
+        d = ColouredDigraph(n=3, kappa=2, arcs=rows)
+        assert d.arcs.dtype == np.int64 and d.arcs.tolist() == [[0, 1, 1], [2, 0, 2]]
+
     @settings(max_examples=400, deadline=None)
     @given(n=st.integers(0, 5), kappa=st.integers(1, 3), undirected=st.booleans(), data=st.data())
     def test_accepts_and_rejects_as_the_sorting_reference(self, n, kappa, undirected, data):
@@ -336,7 +365,7 @@ class TestValidation:
         if data.draw(st.booleans()):
             rows = sorted(rows)  # increasing pairs, the samplers' order, when valid
 
-        def outcome(validate):
+        def outcome(validate, rows):
             try:
                 a = validate(rows, n, kappa, undirected)
             except ValueError as exc:
@@ -344,7 +373,14 @@ class TestValidation:
             assert not a.flags.writeable and a.dtype == np.int64
             return a.tolist()
 
-        assert outcome(_frozen_rows) == outcome(frozen_rows_reference)
+        want = outcome(frozen_rows_reference, rows)
+        assert outcome(_frozen_rows, rows) == want
+        # the same rows as a read-only array, which the graph keeps
+        shared = np.array(rows, dtype=np.int64).reshape(-1, 3).copy()
+        shared.flags.writeable = False
+        assert outcome(_frozen_rows, shared) == want
+        if not isinstance(want, str):
+            assert _frozen_rows(shared, n, kappa, undirected) is shared
 
     @pytest.mark.parametrize(
         "perms",
@@ -375,6 +411,26 @@ class TestRepresentation:
         rows[0, 2] = 2
         assert d.arcs.tolist() == [[0, 1, 1], [1, 2, 2]]
         assert rows.flags.writeable
+
+    def test_read_only_view_of_writable_rows_is_copied(self):
+        base = np.array([[0, 1, 1], [1, 2, 2]])
+        view = base[:]
+        view.flags.writeable = False
+        for g in (ColouredDigraph(n=3, kappa=2, arcs=view), ColouredGraph(n=3, kappa=2, edges=view)):
+            rows = g.arcs if isinstance(g, ColouredDigraph) else g.edges
+            assert not np.shares_memory(rows, base)
+        base[0, 2] = 2
+        assert rows.tolist() == [[0, 1, 1], [1, 2, 2]]
+
+    def test_read_only_owned_rows_are_shared(self):
+        rows = np.array([[0, 1, 1], [1, 2, 2]])
+        rows.flags.writeable = False
+        assert np.shares_memory(ColouredDigraph(n=3, kappa=2, arcs=rows).arcs, rows)
+        assert np.shares_memory(ColouredGraph(n=3, kappa=2, edges=rows).edges, rows)
+        # and so are read-only slices of them, but not a strided view
+        assert np.shares_memory(ColouredDigraph(n=3, kappa=2, arcs=rows[1:]).arcs, rows)
+        assert not np.shares_memory(ColouredDigraph(n=3, kappa=2, arcs=rows[:, [1, 0, 2]]).arcs, rows)
+        assert not np.shares_memory(ColouredDigraph(n=3, kappa=2, arcs=rows[::-1]).arcs, rows)
 
     def test_rows_are_int64_with_three_columns(self):
         for g in (
@@ -479,6 +535,17 @@ class TestLoopReferences:
         for warm in (0, 1):
             assert_draw_for_draw(sampler, loop, n, p, kappa, warm, 62, seed)
         assert bool(redrawn) == redraws
+
+    @pytest.mark.parametrize("capacity", [0, 1])
+    @pytest.mark.parametrize(
+        "sampler, loop", [(sample_coloured_digraph, loop_digraph_rows), (sample_coloured_graph, loop_graph_rows)]
+    )
+    def test_samplers_match_loop_when_the_output_grows(self, sampler, loop, capacity, monkeypatch):
+        monkeypatch.setattr(graphs, "_row_capacity", lambda pairs, p: min(pairs, capacity))
+        for i, (n, p, kappa, warm) in enumerate(sweep_configs(100, 64)):
+            assert_draw_for_draw(sampler, loop, n, p, kappa, warm, 65, i)
+        # several blocks, with a redrawn colour
+        assert_draw_for_draw(sampler, loop, 400, 0.3, 2**31 + 1, 0, 62, 5)
 
     @pytest.mark.parametrize("sampler", [sample_coloured_digraph, sample_coloured_graph])
     def test_samplers_reject_other_generators_and_wide_kappa_before_drawing(self, sampler):

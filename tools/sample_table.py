@@ -1,5 +1,5 @@
 """Per-call cost of `graphs.sample_coloured_digraph` at two benchmark
-configs, per checkout.
+configs, and of a whole lemma3 trial's work at one, per checkout.
 
     python3 tools/sample_table.py [--seed N] [CHECKOUT ...]
 
@@ -8,8 +8,12 @@ the one holding this script.  The checkouts are imported as
 `solve_table.py` imports them, in reverse order on an odd seed.  Each
 config samples as the benchmark workload of its name does, with
 p1 = split_probability(p).p1, from one substream of the seed per call.
-Every checkout samples each substream once, the checkouts taking turns
-call by call in alternating order, and the samples must be equal.  The
+The `trial` row then solves the sample's network, as a lemma3 trial
+does at d=2: `max_flow(build_network(sample, 2))`.  Set against the
+sample row of the same workload, it shows how a change splits between
+sampling and the network and solve.  Every checkout runs each substream
+once, the checkouts taking turns call by call in alternating order, and
+the outputs (the sample's rows, the solve's owners) must be equal.  The
 table gives per checkout the median ms of a call and its minor page
 faults per call (`resource.getrusage`).  With two or more checkouts,
 `slower` counts the calls slower in the last checkout than in the first
@@ -29,10 +33,21 @@ from pathlib import Path
 import numpy as np
 from solve_table import MIN_MARKED, load_all
 
-# (workload, n, p, kappa, calls)
+
+def sample(package, n: int, p1: float, kappa: int, rng) -> np.ndarray:
+    return package.graphs.sample_coloured_digraph(n, p1, kappa, rng).arcs
+
+
+def trial(package, n: int, p1: float, kappa: int, rng) -> np.ndarray:
+    graph = package.graphs.sample_coloured_digraph(n, p1, kappa, rng)
+    return package.flow.max_flow(package.flow.build_network(graph, 2))[1]
+
+
+# (row, operation, n, p, kappa, calls)
 CONFIGS = (
-    ("lemma3_n1000", 1000, 0.3, 3000, 40),
-    ("pipeline_n12", 12, 0.9, 80, 2000),
+    ("lemma3_n1000", sample, 1000, 0.3, 3000, 40),
+    ("pipeline_n12", sample, 12, 0.9, 80, 2000),
+    ("lemma3_n1000 trial", trial, 1000, 0.3, 3000, 40),
 )
 
 
@@ -45,25 +60,25 @@ def main() -> int:
     heads = [f"{checkout} {unit}" for checkout in args.checkouts for unit in ("ms", "faults")]
     print("\t".join(["config", "calls", "slower", *heads]))
     slower = 0
-    for index, (name, n, p, kappa, calls) in enumerate(CONFIGS):
+    for index, (name, operation, n, p, kappa, calls) in enumerate(CONFIGS):
         p1 = packages[0].graphs.split_probability(p).p1
         times = [[0.0] * len(packages) for _ in range(calls)]
         faults = [0] * len(packages)
         for call in range(calls + 1):  # call 0 warms every checkout up
             turn = range(len(packages)) if call % 2 == 0 else reversed(range(len(packages)))
-            samples = []
+            outputs = []
             for k in turn:
                 rng = packages[k].rng.substream(args.seed, index, call, "sample-table")
                 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 start = time.perf_counter()
-                g = packages[k].graphs.sample_coloured_digraph(n, p1, kappa, rng)
+                output = operation(packages[k], n, p1, kappa, rng)
                 elapsed = time.perf_counter() - start
                 if call:
                     times[call - 1][k] = elapsed
                     faults[k] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-                samples.append(g.arcs)
-            if any(not np.array_equal(samples[0], arcs) for arcs in samples[1:]):
-                raise SystemExit(f"{name}: the checkouts' samples differ at call {call}")
+                outputs.append(output)
+            if any(not np.array_equal(outputs[0], output) for output in outputs[1:]):
+                raise SystemExit(f"{name}: the checkouts' outputs differ at call {call}")
         medians = [statistics.median(row[k] for row in times) * 1e3 for k in range(len(packages))]
         paired = sum(row[-1] > row[0] for row in times)
         mark = " slower" if calls >= MIN_MARKED and paired >= 0.9 * calls else ""
