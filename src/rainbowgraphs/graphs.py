@@ -35,9 +35,10 @@ UNCOLOURED = 0
 
 def _shareable(rows) -> bool:
     """Whether a graph may keep rows without a copy: an int64 (m, 3)
-    C-contiguous array, read-only as is every array in its `.base` chain."""
+    C-contiguous ndarray (no subclass), read-only as is every array in
+    its `.base` chain."""
     a = rows
-    while isinstance(a, np.ndarray) and not a.flags.writeable:
+    while type(a) is np.ndarray and not a.flags.writeable:
         a = a.base
     return a is None and rows.dtype == np.int64 and rows.shape[1:] == (3,) and rows.flags.c_contiguous
 

@@ -431,6 +431,8 @@ class TestRepresentation:
         assert np.shares_memory(ColouredDigraph(n=3, kappa=2, arcs=rows[1:]).arcs, rows)
         assert not np.shares_memory(ColouredDigraph(n=3, kappa=2, arcs=rows[:, [1, 0, 2]]).arcs, rows)
         assert not np.shares_memory(ColouredDigraph(n=3, kappa=2, arcs=rows[::-1]).arcs, rows)
+        sub = rows.view(type("Rows", (np.ndarray,), {}))  # an ndarray subclass is copied
+        assert type(ColouredDigraph(n=3, kappa=2, arcs=sub).arcs) is np.ndarray
 
     def test_rows_are_int64_with_three_columns(self):
         for g in (
