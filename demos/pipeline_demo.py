@@ -10,11 +10,9 @@ def main() -> None:
     cfg = ExperimentConfig(
         n=10, p=0.5, kappa=45, eps=0.5, d=3,
         trials=120, seed=5, mode="pipeline",
-        target_family="cycle", target_size=10,
-        sweep_axis="p", sweep_values=(0.3, 0.5, 0.7, 0.9),
-        jobs=4,
+        target_family="cycle", target_size=10, jobs=4,
     )
-    result = run_sweep(cfg)
+    result = run_sweep(cfg, "p", (0.3, 0.5, 0.7, 0.9))
     print("rainbow spanning C10 via the flow pipeline, n=10, d=3, kappa=45\n")
     print(f"{'p':>5} {'rate':>6} {'95% Wilson CI':>16}")
     for pt in result.summary:

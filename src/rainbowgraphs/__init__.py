@@ -15,14 +15,13 @@ from .bounds import (
     BoundReport,
     RiordanReport,
     ThresholdReport,
-    alon_furedi_threshold,
     chernoff_bound,
     log_L,
     riordan_condition,
     theorem1_threshold,
     theta,
 )
-from .coupling import CouplingOutcome, chernoff_success_estimate, couple
+from .coupling import CouplingOutcome, couple
 from .flow import (
     FlowNetwork,
     HallWitness,

@@ -19,7 +19,8 @@ _CHUNK = 1 << 20
 @dataclass(frozen=True)
 class ThresholdReport:
     """Minimum edge probabilities from the two embedding thresholds;
-    eq1_term_structural_alt is set only when asked for."""
+    eq2_p_min is the structural term alone, the uncoloured (Alon-Furedi)
+    threshold, and eq1_term_structural_alt is set only when asked for."""
 
     eq1_term_structural: float
     eq1_term_colour: float
@@ -55,12 +56,6 @@ class BoundReport:
     theta: float
 
 
-def _log_choose(n: float, k: float) -> float:
-    if k < 0 or k > n:
-        return -math.inf
-    return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
-
-
 def theorem1_threshold(
     n: int, delta: int, eps: float, alt_parse: bool = False
 ) -> ThresholdReport:
@@ -90,11 +85,6 @@ def theorem1_threshold(
         eq2_p_min=structural,
         hypothesis_ok=(delta**2 + 1) ** 2 < n,
     )
-
-
-def alon_furedi_threshold(n: int, delta: int) -> float:
-    """The structural term alone: the uncoloured embedding threshold."""
-    return theorem1_threshold(n, delta, eps=1.0).eq2_p_min
 
 
 def chernoff_bound(n: int, p1: float, eps: float) -> float:

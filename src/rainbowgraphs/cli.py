@@ -115,6 +115,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_gamma(args: argparse.Namespace) -> int:
+    _resolve(args, {"seed": 0}, {} if args.family == "tree" else {"seed": "needs --family tree"})
     h = targets.build_target(args.family, args.size, args.seed)
     profile = targets.density_profile(h, exact=args.exact)
     lines = [f"target={h.name} n={h.n_H} edges={h.e_total} delta={h.delta}"]
@@ -125,6 +126,8 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    drawn = args.target == "tree" and args.size is not None
+    _resolve(args, {"seed": 0}, {} if drawn else {"seed": "needs --target tree and --size"})
     g = edgelist.read_graph(Path(args.graph).read_text())
     if args.target == "tree" and args.size is None:
         emb = find_rainbow_spanning_tree(g)
@@ -150,7 +153,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _config_from_args(args: argparse.Namespace, mode: str) -> ExperimentConfig:
+def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     unused = {}
     if args.mode != "pipeline":
         unused = dict.fromkeys(("target", "size"), f"is not used by --mode {args.mode}")
@@ -165,25 +168,26 @@ def _config_from_args(args: argparse.Namespace, mode: str) -> ExperimentConfig:
         d=args.d,
         trials=args.trials,
         seed=args.seed,
-        mode=mode,
+        mode=args.mode,
         target_family=args.target,
         target_size=args.size,
-        sweep_axis=getattr(args, "axis", None),
-        sweep_values=tuple(getattr(args, "grid", ()) or ()),
         jobs=args.jobs,
     )
 
 
 def _cmd_trial(args: argparse.Namespace) -> int:
-    config = _config_from_args(args, args.mode)
+    config = _config_from_args(args)
     records = run_trials(config)
     _write(records_to_jsonl(records), args.out)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _config_from_args(args, "sweep")
-    result = run_sweep(config, mode=args.mode)
+    _resolve(args, {}, {"summary": "needs --format jsonl"} if args.format == "csv" else {})
+    # the base config holds the grid's first value, so a default the sweep
+    # overrides is never checked by itself
+    setattr(args, args.axis, args.grid[0])
+    result = run_sweep(_config_from_args(args), args.axis, args.grid)
     if args.format == "csv":
         _write(result.to_csv(), args.out)
     else:
@@ -252,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", dest="family", choices=targets.FAMILIES, required=True)
     sp.add_argument("--size", type=int, required=True)
     sp.add_argument("--exact", action="store_true")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=None, help="default 0; needs --family tree")
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_gamma)
 
@@ -260,7 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--graph", required=True)
     sp.add_argument("--target", choices=targets.FAMILIES, required=True)
     sp.add_argument("--size", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument(
+        "--seed", type=int, default=None, help="default 0; needs --target tree and --size"
+    )
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_search)
 

@@ -10,7 +10,6 @@ the d-out sample by construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,24 +68,3 @@ def couple(
         inner=inner,
         success=inner is not None,
     )
-
-
-def regime_out_degree(n: int, eps: float) -> int:
-    """Default d making the per-vertex Chernoff condition comfortable at
-    desk scale: ceil(20 * eps^-2 * ln n)."""
-    if n < 2 or eps <= 0:
-        raise ValueError(f"need n >= 2 and eps > 0, got n={n}, eps={eps}")
-    return math.ceil(20.0 * eps**-2 * math.log(n))
-
-
-def chernoff_success_estimate(
-    n: int, d: int, p1: float, trials: int, rng: np.random.Generator
-) -> tuple[float, float]:
-    """Monte Carlo frequency of the event max_v Binomial(n-1, p1) <= d,
-    with a 95% normal-approximation confidence half-width."""
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
-    counts = rng.binomial(n - 1, p1, size=(trials, n))
-    freq = float(np.mean(counts.max(axis=1) <= d))
-    half_width = 1.96 * math.sqrt(freq * (1.0 - freq) / trials)
-    return freq, half_width

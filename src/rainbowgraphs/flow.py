@@ -127,7 +127,10 @@ class RainbowDOut:
     d: int
 
     def check(self, source: ColouredDigraph) -> None:
-        """Assert the three defining invariants against the source digraph."""
+        """Assert the three defining invariants against the source digraph,
+        on the source's vertex set."""
+        if self.digraph.n != source.n:
+            raise AssertionError(f"covers {self.digraph.n} vertices, source has {source.n}")
         arcs = self.digraph.arcs
         degs = self.digraph.out_degrees()
         if (degs != self.d).any():
@@ -135,7 +138,7 @@ class RainbowDOut:
         if len(np.unique(arcs[:, 2])) != len(arcs):
             raise AssertionError("repeated arc colour")
         # find each arc's (tail, head) among the source's, then its colour
-        n = max(self.digraph.n, source.n)
+        n = source.n
         src = source.arcs[np.argsort(source.arcs[:, 0] * n + source.arcs[:, 1])]
         pos = np.searchsorted(src[:, 0] * n + src[:, 1], arcs[:, 0] * n + arcs[:, 1])
         found = pos < len(src)

@@ -10,14 +10,13 @@ Modes:
               extraction, per-vertex shuffle, truncation, orientation
               coalescing, then exact rainbow search for a target graph
               (n <= 16).
-  sweep    -- any of the above across a parameter grid, with Wilson
-              confidence intervals per grid point.
+
+run_sweep runs one mode across a grid of one parameter, with Wilson
+confidence intervals per grid point.
 
 Every trial draws from a substream keyed by (master seed, trial index,
 purpose tag), so records are identical whatever the execution order or
-parallelism degree.  JSONL output is byte-stable for a fixed seed;
-wall-clock timings are kept on the in-memory records but excluded from
-serialisation for that reason.
+parallelism degree, and JSONL output is byte-stable for a fixed seed.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-import time
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -69,8 +68,6 @@ class ExperimentConfig:
     mode: str
     target_family: str | None = None
     target_size: int | None = None
-    sweep_axis: str | None = None
-    sweep_values: tuple[float, ...] = ()
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -92,7 +89,7 @@ class ExperimentConfig:
             raise ValueError(f"need seed >= 0, got {self.seed}")
         if self.jobs < 1:
             raise ValueError(f"need jobs >= 1, got {self.jobs}")
-        if self.mode not in MODES and self.mode != "sweep":
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "lemma4" and self.d > self.n - 1:
             raise ValueError(f"lemma4 needs d <= n-1, got d={self.d}, n={self.n}")
@@ -139,7 +136,6 @@ class TrialRecord:
     inner_arc_count: int | None = None
     pipeline_verdict: str | None = None
     notes: str = ""
-    elapsed: float = 0.0  # not serialised: varies between identical runs
 
     def to_json(self) -> str:
         payload = {k: getattr(self, k) for k in _JSONL_FIELDS}
@@ -147,7 +143,6 @@ class TrialRecord:
 
 
 def _lemma3_trial(config: ExperimentConfig, t: int) -> TrialRecord:
-    start = time.perf_counter()
     rng = substream(config.seed, t, "lemma3")
     p1 = split_probability(config.p).p1
     dgr = sample_coloured_digraph(config.n, p1, config.kappa, rng)
@@ -159,12 +154,10 @@ def _lemma3_trial(config: ExperimentConfig, t: int) -> TrialRecord:
         mode="lemma3",
         success=success,
         flow_value=value,
-        elapsed=time.perf_counter() - start,
     )
 
 
 def _lemma4_trial(config: ExperimentConfig, t: int) -> TrialRecord:
-    start = time.perf_counter()
     rng = substream(config.seed, t, "lemma4")
     out = couple(config.n, config.d, config.p, config.eps, rng)
     return TrialRecord(
@@ -174,18 +167,16 @@ def _lemma4_trial(config: ExperimentConfig, t: int) -> TrialRecord:
         success=out.success,
         k_max=out.k_max,
         inner_arc_count=len(out.inner.arcs) if out.inner is not None else None,
-        elapsed=time.perf_counter() - start,
     )
 
 
 def _pipeline_trial(config: ExperimentConfig, t: int) -> TrialRecord:
-    start = time.perf_counter()
     n, d = config.n, config.d
 
     def record(verdict: str, **fields) -> TrialRecord:
         return TrialRecord(
             trial=t, seed=config.seed, mode="pipeline", success=verdict == "found",
-            pipeline_verdict=verdict, elapsed=time.perf_counter() - start, **fields,
+            pipeline_verdict=verdict, **fields,
         )
 
     p1 = split_probability(config.p).p1
@@ -238,24 +229,22 @@ def _run_one(args: tuple[ExperimentConfig, int]) -> TrialRecord:
 def run_trials(config: ExperimentConfig) -> list[TrialRecord]:
     """Run config.trials independent trials of the configured mode.
 
-    Records come back ordered by trial index whatever the parallelism.
+    Records come back ordered by trial index whatever the parallelism:
+    pool.map, like the serial loop, yields them in the order of the work.
     """
-    if config.mode not in _TRIAL_FN:
-        raise ValueError(f"mode {config.mode!r} is not a trial mode")
     _check_target(config)
     work = [(config, t) for t in range(config.trials)]
     if config.jobs > 1 and config.trials > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            records = list(pool.map(_run_one, work))
-    else:
-        records = [_run_one(w) for w in work]
-    return sorted(records, key=lambda r: r.trial)
+            return list(pool.map(_run_one, work))
+    return [_run_one(w) for w in work]
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion, at 95%."""
     if trials == 0:
         return 0.0, 1.0
+    z = 1.96
     phat = successes / trials
     denom = 1.0 + z * z / trials
     centre = (phat + z * z / (2 * trials)) / denom
@@ -290,33 +279,28 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def run_sweep(config: ExperimentConfig, mode: str | None = None) -> SweepResult:
-    """Run `mode` (default: the config's base mode) at every grid value of
-    the sweep axis; each point reuses the same master seed with its own
-    substreams via the changed parameter."""
-    axis = config.sweep_axis
+def run_sweep(config: ExperimentConfig, axis: str, values: Sequence[float]) -> SweepResult:
+    """Run the config's mode with `axis` set to each of `values` in turn;
+    each point reuses the same master seed with its own substreams via
+    the changed parameter."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
-    base_mode = mode or (config.mode if config.mode != "sweep" else None)
-    if base_mode not in _TRIAL_FN:
-        raise ValueError(f"sweep needs a trial mode, got {base_mode!r}")
     if axis != "p":
-        fractional = [v for v in config.sweep_values if v != int(v)]
+        fractional = [v for v in values if v != int(v)]
         if fractional:
             raise ValueError(f"axis {axis} takes integers, got {fractional}")
+    if axis == "kappa" and config.mode == "lemma4":
+        raise ValueError("axis kappa is not used by mode lemma4")
     # every point's config is validated before the first point runs
     points = [
-        replace(
-            config, mode=base_mode, sweep_axis=None, sweep_values=(),
-            **{axis: float(value) if axis == "p" else int(value)},
-        )
-        for value in config.sweep_values
+        replace(config, **{axis: float(value) if axis == "p" else int(value)})
+        for value in values
     ]
     for point_config in points:
         _check_target(point_config)
     records: list[TrialRecord] = []
     summary: list[SweepPoint] = []
-    for value, point_config in zip(config.sweep_values, points):
+    for value, point_config in zip(values, points):
         recs = run_trials(point_config)
         successes = sum(r.success for r in recs)
         lo, hi = wilson_interval(successes, len(recs))

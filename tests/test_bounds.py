@@ -5,7 +5,6 @@ import pytest
 from scipy.special import logsumexp
 
 from rainbowgraphs.bounds import (
-    alon_furedi_threshold,
     chernoff_bound,
     log_L,
     riordan_condition,
@@ -81,17 +80,17 @@ class TestTheorem1Threshold:
 class TestAlonFuredi:
     def test_equals_structural_term(self):
         for n, delta in [(10**4, 2), (500, 3), (10**6, 4)]:
-            assert alon_furedi_threshold(n, delta) == pytest.approx(
+            assert theorem1_threshold(n, delta, 1.0).eq2_p_min == pytest.approx(
                 theorem1_threshold(n, delta, 0.7).eq1_term_structural
             )
 
     def test_known_point(self):
-        assert alon_furedi_threshold(10**4, 2) == pytest.approx(0.195, abs=5e-4)
+        assert theorem1_threshold(10**4, 2, 1.0).eq2_p_min == pytest.approx(0.195, abs=5e-4)
 
     def test_delta_one(self):
         n = 1000
         m = n // 2
-        assert alon_furedi_threshold(n, 1) == pytest.approx(10 * math.log(m) / m)
+        assert theorem1_threshold(n, 1, 1.0).eq2_p_min == pytest.approx(10 * math.log(m) / m)
 
 
 class TestChernoffBound:

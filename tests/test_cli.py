@@ -124,11 +124,34 @@ class TestOtherCommands:
              "--kappa is not used by --mode lemma4"),
             (["sweep", "--mode", "lemma4", "--axis", "d", "--grid", "1", "--n", "5", "--trials", "1",
               "--kappa", "9"], "--kappa is not used by --mode lemma4"),
+            (["sweep", "--mode", "lemma4", "--axis", "kappa", "--grid", "10", "20", "--n", "5",
+              "--trials", "1"], "--kappa is not used by --mode lemma4"),
+            (["sweep", "--mode", "lemma4", "--axis", "d", "--grid", "1", "--n", "5", "--trials", "1",
+              "--format", "csv", "--summary", str(tmp_path / "s.csv")], "--summary needs --format jsonl"),
+            (["search", "--graph", str(graph), "--target", "cycle", "--seed", "0"],
+             "--seed needs --target tree and --size"),
+            (["search", "--graph", str(graph), "--target", "tree", "--seed", "3"],
+             "--seed needs --target tree and --size"),
+            (["gamma", "--family", "cycle", "--size", "5", "--seed", "0"], "--seed needs --family tree"),
         ]:
             assert main(args) == 2
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: ") and message in err
             assert err.count("\n") == 1
+
+    def test_sweep_never_checks_the_value_it_overrides(self, tmp_path):
+        # without --n the default n=50 breaks the pipeline's n <= 16 cap,
+        # but every point of the sweep sets n
+        common = ["--mode", "pipeline", "--target", "cycle", "--size", "10", "--p", "0.9",
+                  "--kappa", "80", "--d", "3", "--eps", "1.0", "--trials", "2"]
+        sweep = tmp_path / "sweep.jsonl"
+        assert main(["sweep", *common, "--axis", "n", "--grid", "10", "12", "--out", str(sweep)]) == 0
+        points = []
+        for n in ("10", "12"):
+            out = tmp_path / f"trial_{n}.jsonl"
+            assert main(["trial", *common, "--n", n, "--out", str(out)]) == 0
+            points.append(out.read_text())
+        assert sweep.read_text() == "".join(points)
 
     @pytest.mark.parametrize("args", [
         ["sweep", "--mode", "lemma3", "--axis", "kappa", "--grid", "30", "3000000000",

@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom, chisquare
 
-from rainbowgraphs.coupling import (
-    chernoff_success_estimate,
-    couple,
-    regime_out_degree,
-    truncate,
-    truncation_counts,
-)
+from rainbowgraphs.coupling import couple, truncate, truncation_counts
 from rainbowgraphs.graphs import ColouredDigraph, sample_coloured_digraph, sample_d_out, split_probability
 from rainbowgraphs.rng import substream
 
@@ -95,40 +89,6 @@ class TestCouple:
             couple(10, 3, 0.5, 0.0, substream(0))
         with pytest.raises(ValueError):
             couple(10, 10, 0.5, 0.5, substream(0))
-
-
-class TestChernoffSuccessEstimate:
-    def test_d_max_always_succeeds(self):
-        freq, _ = chernoff_success_estimate(20, 19, 0.9, 200, substream(5))
-        assert freq == 1.0
-
-    def test_p1_zero_always_succeeds(self):
-        freq, _ = chernoff_success_estimate(20, 1, 0.0, 200, substream(5))
-        assert freq == 1.0
-
-    def test_matches_exact_binomial_oracle(self):
-        # exact success probability is cdf(d; n-1, p1)^n
-        for n, d, p1 in [(200, 40, 0.15), (50, 10, 0.12), (100, 30, 0.2)]:
-            exact = binom.cdf(d, n - 1, p1) ** n
-            trials = 4000
-            freq, half = chernoff_success_estimate(n, d, p1, trials, substream(6, n))
-            se = math.sqrt(max(exact * (1 - exact), 1e-6) / trials)
-            assert abs(freq - exact) < max(4 * se, 0.01)
-            assert 0 <= half <= 1
-
-    def test_comfortable_regime_high_success(self):
-        # d well above (1+eps/2) n p1: success should be near-certain
-        freq, _ = chernoff_success_estimate(200, 55, 0.1633, 1000, substream(7))
-        assert freq >= 0.9
-
-
-class TestRegimeOutDegree:
-    def test_formula(self):
-        assert regime_out_degree(100, 1.0) == math.ceil(20 * math.log(100))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            regime_out_degree(1, 0.5)
 
 
 def test_truncate_matches_loop():

@@ -631,6 +631,10 @@ class TestRainbowDOutCheck:
         other = ColouredDigraph(n=3, kappa=3, arcs=((0, 2, 1), (1, 2, 2), (2, 0, 3)))
         with pytest.raises(AssertionError, match="not present"):
             RainbowDOut(other, 1).check(source)
+        # every arc is in the wider source, whose vertices 3 and 4 have none
+        wider = ColouredDigraph(n=5, kappa=3, arcs=source.arcs)
+        with pytest.raises(AssertionError, match="covers 3 vertices, source has 5"):
+            RainbowDOut(source, 1).check(wider)
 
     def test_rejects_arc_whose_colour_differs_in_the_source(self):
         source = ColouredDigraph(n=3, kappa=4, arcs=((0, 1, 1), (1, 2, 2), (2, 0, 3)))

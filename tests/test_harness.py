@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -31,7 +30,6 @@ class TestRunTrials:
         assert run_trials(lemma4_config(trials=0)) == []
 
     def test_deterministic(self):
-        # timings differ run to run; the serialised payload must not
         cfg = lemma4_config()
         assert records_to_jsonl(run_trials(cfg)) == records_to_jsonl(run_trials(cfg))
 
@@ -205,9 +203,8 @@ class TestConfigValidation:
         )
         with pytest.raises(ValueError):
             run_trials(config)
-        sweep = replace(config, mode="sweep", sweep_axis="n", sweep_values=(12, 8))
         with pytest.raises(ValueError):
-            run_sweep(sweep, mode="pipeline")
+            run_sweep(config, "n", (12, 8))
 
     @pytest.mark.parametrize("mode", ["lemma3", "pipeline"])
     @pytest.mark.parametrize("kappa,d", [(2**31 - 8, 2), (40, 2**29)])
@@ -223,12 +220,11 @@ class TestConfigValidation:
 
     def test_int32_sweep_point_fails_before_any_trial(self, monkeypatch):
         monkeypatch.setitem(harness._TRIAL_FN, "lemma3", lambda c, t: pytest.fail("a trial ran"))
-        sweep = ExperimentConfig(
-            n=5, p=0.5, kappa=30, eps=0.5, d=2, trials=3, seed=0, mode="sweep",
-            sweep_axis="kappa", sweep_values=(30, 3_000_000_000),
+        config = ExperimentConfig(
+            n=5, p=0.5, kappa=30, eps=0.5, d=2, trials=3, seed=0, mode="lemma3"
         )
         with pytest.raises(ValueError, match="exceeds int32"):
-            run_sweep(sweep, mode="lemma3")
+            run_sweep(config, "kappa", (30, 3_000_000_000))
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_rejects_jobs_below_one(self, jobs):
@@ -253,8 +249,7 @@ class TestWilson:
 
 class TestRunSweep:
     def test_single_point_equals_plain_mode(self):
-        cfg = lemma4_config(mode="sweep", sweep_axis="d", sweep_values=(15,))
-        res = run_sweep(cfg, mode="lemma4")
+        res = run_sweep(lemma4_config(), "d", (15,))
         plain = run_trials(lemma4_config())
         assert records_to_jsonl(res.records) == records_to_jsonl(plain)
         assert len(res.summary) == 1
@@ -262,50 +257,45 @@ class TestRunSweep:
         assert pt.successes == sum(r.success for r in plain)
 
     def test_success_nondecreasing_in_d(self):
-        cfg = lemma4_config(
-            mode="sweep", sweep_axis="d", sweep_values=(5, 10, 15, 20, 25), trials=60
-        )
-        res = run_sweep(cfg, mode="lemma4")
+        res = run_sweep(lemma4_config(trials=60), "d", (5, 10, 15, 20, 25))
         # allow confidence-interval overlap: compare lower vs upper bounds
         for a, b in zip(res.summary, res.summary[1:]):
             assert b.ci_hi >= a.ci_lo
 
     def test_lemma3_success_nondecreasing_in_p(self):
         cfg = ExperimentConfig(
-            n=20, p=0.5, kappa=50, eps=0.5, d=2, trials=40, seed=7,
-            mode="sweep", sweep_axis="p", sweep_values=(0.1, 0.4, 0.8),
+            n=20, p=0.5, kappa=50, eps=0.5, d=2, trials=40, seed=7, mode="lemma3"
         )
-        res = run_sweep(cfg, mode="lemma3")
+        res = run_sweep(cfg, "p", (0.1, 0.4, 0.8))
         rates = [pt.rate for pt in res.summary]
         for a, b in zip(res.summary, res.summary[1:]):
             assert b.ci_hi >= a.ci_lo
         assert rates[-1] >= rates[0]
 
     def test_csv_shape(self):
-        cfg = lemma4_config(mode="sweep", sweep_axis="d", sweep_values=(10, 20))
-        res = run_sweep(cfg, mode="lemma4")
+        res = run_sweep(lemma4_config(), "d", (10, 20))
         lines = res.to_csv().strip().splitlines()
         assert lines[0] == "point,trials,successes,rate,ci_lo,ci_hi"
         assert len(lines) == 3
 
     @pytest.mark.parametrize("axis", ["d", "n", "kappa"])
     def test_integer_axis_rejects_fractional_value(self, axis):
-        cfg = lemma4_config(mode="sweep", sweep_axis=axis, sweep_values=(1.7,), trials=3)
         with pytest.raises(ValueError, match="integers"):
-            run_sweep(cfg, mode="lemma4")
+            run_sweep(lemma4_config(trials=3), axis, (1.7,))
 
     def test_every_point_checked_before_the_first_runs(self, monkeypatch):
         calls = []
         monkeypatch.setattr(harness, "run_trials", calls.append)
         for values in [(15, 1.7), (15, 0)]:  # a fractional d, then d=0
-            cfg = lemma4_config(mode="sweep", sweep_axis="d", sweep_values=values)
             with pytest.raises(ValueError):
-                run_sweep(cfg, mode="lemma4")
+                run_sweep(lemma4_config(), "d", values)
+        with pytest.raises(ValueError, match="kappa is not used by mode lemma4"):
+            run_sweep(lemma4_config(), "kappa", (10, 20))
         assert calls == []
 
     def test_bad_axis(self):
         with pytest.raises(ValueError):
-            run_sweep(lemma4_config(mode="sweep", sweep_axis="eps"), mode="lemma4")
+            run_sweep(lemma4_config(), "eps", (0.5,))
 
 
 class TestJsonl:
@@ -314,11 +304,6 @@ class TestJsonl:
         lines = records_to_jsonl(recs).splitlines()
         assert len(lines) == 2
         assert lines[0].startswith('{"trial":0,"seed":3,"mode":"lemma4"')
-
-    def test_elapsed_not_serialised(self):
-        recs = run_trials(lemma4_config(trials=1))
-        assert recs[0].elapsed > 0
-        assert "elapsed" not in records_to_jsonl(recs)
 
 
 class TestBuildTarget:
