@@ -29,7 +29,6 @@ from .flow import (
     build_network,
     extract_rainbow_dout,
     extract_via_permutation,
-    hall_witness,
     max_flow,
 )
 from .graphs import (

@@ -18,7 +18,9 @@ from . import bounds as bounds_mod
 from . import edgelist, targets
 from .flow import HallWitness, extract_rainbow_dout, extract_via_permutation
 from .graphs import sample_coloured_digraph, sample_coloured_graph, split_probability
-from .harness import MODES, SWEEP_AXES, ExperimentConfig, records_to_jsonl, run_sweep, run_trials
+from .harness import (
+    MODE_FIELDS, MODES, SWEEP_AXES, ExperimentConfig, records_to_jsonl, run_sweep, run_trials,
+)
 from .rng import substream
 from .search import find_rainbow_copy_exact, find_rainbow_spanning_tree
 
@@ -153,25 +155,18 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
+# the trial/sweep option that sets each config field a mode may read
+_OPTIONS = {"n": "n", "p": "p", "kappa": "kappa", "eps": "eps", "d": "d",
+            "target_family": "target", "target_size": "size"}
+
+
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    unused = {}
-    if args.mode != "pipeline":
-        unused = dict.fromkeys(("target", "size"), f"is not used by --mode {args.mode}")
-    if args.mode == "lemma4":
-        unused["kappa"] = "is not used by --mode lemma4"
-    _resolve(args, {"kappa": 100}, unused)
+    reason = f"is not used by --mode {args.mode}"
+    unused = {o: reason for f, o in _OPTIONS.items() if f not in MODE_FIELDS[args.mode]}
+    _resolve(args, {"n": 50, "p": 0.5, "kappa": 100, "eps": 0.5, "d": 1}, unused)
     return ExperimentConfig(
-        n=args.n,
-        p=args.p,
-        kappa=args.kappa,
-        eps=args.eps,
-        d=args.d,
-        trials=args.trials,
-        seed=args.seed,
-        mode=args.mode,
-        target_family=args.target,
-        target_size=args.size,
-        jobs=args.jobs,
+        **{f: getattr(args, o) for f, o in _OPTIONS.items()},
+        trials=args.trials, seed=args.seed, mode=args.mode, jobs=args.jobs,
     )
 
 
@@ -183,7 +178,10 @@ def _cmd_trial(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    _resolve(args, {}, {"summary": "needs --format jsonl"} if args.format == "csv" else {})
+    unused = {args.axis: "is set by --axis"}
+    if args.format == "csv":
+        unused["summary"] = "needs --format jsonl"
+    _resolve(args, {}, unused)
     # the base config holds the grid's first value, so a default the sweep
     # overrides is never checked by itself
     setattr(args, args.axis, args.grid[0])
@@ -198,14 +196,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--n", type=int, default=50)
-    sp.add_argument("--p", type=float, default=0.5)
+    sp.add_argument("--mode", choices=MODES, required=True)
+    sp.add_argument("--n", type=int, default=None, help="default 50")
+    sp.add_argument("--p", type=float, default=None, help="default 0.5")
     sp.add_argument("--kappa", type=int, default=None, help="default 100; not used by lemma4")
-    sp.add_argument("--eps", type=float, default=0.5)
-    sp.add_argument("--d", type=int, default=1)
+    sp.add_argument("--eps", type=float, default=None, help="default 0.5; used by pipeline only")
+    sp.add_argument("--d", type=int, default=None, help="default 1")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--target", choices=targets.FAMILIES, default=None, help="pipeline only")
+    sp.add_argument("--size", type=int, default=None, help="pipeline only")
     sp.add_argument("--out", default=None)
 
 
@@ -271,19 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_search)
 
     sp = sub.add_parser("trial", help="Monte Carlo trials in one mode")
-    sp.add_argument("--mode", choices=MODES, required=True)
     _add_common(sp)
-    sp.add_argument("--target", choices=targets.FAMILIES, default=None)
-    sp.add_argument("--size", type=int, default=None)
     sp.set_defaults(fn=_cmd_trial)
 
     sp = sub.add_parser("sweep", help="Monte Carlo sweep over a parameter grid")
-    sp.add_argument("--mode", choices=MODES, required=True)
+    _add_common(sp)
     sp.add_argument("--axis", choices=SWEEP_AXES, required=True)
     sp.add_argument("--grid", type=float, nargs="+", required=True)
-    _add_common(sp)
-    sp.add_argument("--target", choices=targets.FAMILIES, default=None)
-    sp.add_argument("--size", type=int, default=None)
     sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     sp.add_argument("--summary", default=None)
     sp.set_defaults(fn=_cmd_sweep)

@@ -23,8 +23,8 @@ tails carrying a colour of S.  When the value falls short, the nodes
 that `_levels` reaches from the source in the residual network form the
 smallest source side of a minimum cut; its colour nodes are a colour set
 S of maximum deficiency, contained in every other one.  An extraction
-returns that set as its certificate, read off the flow it solved, as
-`hall_witness` does, at any kappa.
+returns that set as its certificate, read off the flow it solved, at any
+kappa.
 """
 
 from __future__ import annotations
@@ -358,16 +358,6 @@ def _witness(net: FlowNetwork, owner: np.ndarray) -> HallWitness:
     return HallWitness(tuple(colours.tolist()), tuple(neighbours.tolist()), deficiency)
 
 
-def hall_witness(d_in: ColouredDigraph, d: int) -> HallWitness | None:
-    """The colour set of maximum deficiency that lies inside all others, so
-    the smallest, or None when the max-flow value reaches d*n.  Colours
-    and neighbours come in ascending order.  An extraction returns the
-    same witness from the flow it solved."""
-    net = build_network(d_in, d)
-    value, owner = max_flow(net)
-    return _witness(net, owner) if value < d * d_in.n else None
-
-
 def _decompose(owner: np.ndarray, d_in: ColouredDigraph, d: int, head_rank: np.ndarray) -> RainbowDOut:
     # Each colour is assigned to at most one tail, so one lookup per arc
     # finds the arcs of the assigned (colour, tail) pairs.
@@ -390,7 +380,8 @@ def _extract(d_in: ColouredDigraph, d: int, head_rank: np.ndarray) -> RainbowDOu
 
 def extract_rainbow_dout(d_in: ColouredDigraph, d: int) -> RainbowDOut | HallWitness:
     """Extract a rainbow d-out subgraph or, when the max-flow value falls
-    short of d*n, return the `HallWitness` that `hall_witness` gives.
+    short of d*n, return the `HallWitness` of that flow: the smallest
+    colour set of maximum deficiency, with its neighbours, in ascending order.
 
     Where several heads carry the assigned colour from a vertex, the
     smallest head is chosen; `extract_via_permutation` removes that bias.

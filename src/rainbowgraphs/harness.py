@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -40,20 +41,15 @@ from .rng import substream
 from .search import EXACT_SEARCH_CAP, find_rainbow_copy_exact
 from .targets import FAMILIES, TargetGraph, build_target, pad_target
 
-MODES = ("lemma3", "lemma4", "pipeline")
+# the config fields each mode's trials read
+MODE_FIELDS = {
+    "lemma3": ("n", "p", "kappa", "d"),
+    "lemma4": ("n", "p", "d"),
+    "pipeline": ("n", "p", "kappa", "eps", "d", "target_family", "target_size"),
+}
+MODES = tuple(MODE_FIELDS)
 SWEEP_AXES = ("p", "kappa", "d", "n")
-
-_JSONL_FIELDS = (
-    "trial",
-    "seed",
-    "mode",
-    "success",
-    "flow_value",
-    "k_max",
-    "inner_arc_count",
-    "pipeline_verdict",
-    "notes",
-)
+_INTEGER_FIELDS = ("n", "kappa", "d", "trials", "seed", "jobs")
 
 
 @dataclass(frozen=True)
@@ -72,7 +68,16 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         """Check every parameter the trials rely on, so a bad config is
-        rejected before any trial runs, never partway through a run."""
+        rejected before any trial runs, never partway through a run.  An
+        integer field takes an int, a numpy integer or a whole float, and
+        keeps it as a plain int."""
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not int:  # a plain int, the common case, is kept
+                whole = isinstance(value, float) and value.is_integer()
+                if not (whole or isinstance(value, numbers.Integral)):
+                    raise ValueError(f"{name} takes integers, got {value}")
+                object.__setattr__(self, name, int(value))
         if self.trials < 0:
             raise ValueError(f"need trials >= 0, got {self.trials}")
         if not 0.0 <= self.p < 1.0:
@@ -93,7 +98,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "lemma4" and self.d > self.n - 1:
             raise ValueError(f"lemma4 needs d <= n-1, got d={self.d}, n={self.n}")
-        if self.mode in ("lemma3", "pipeline"):
+        if "kappa" in MODE_FIELDS[self.mode]:
             check_network_size(self.n, self.kappa, self.d)
         if self.mode == "pipeline":
             self._check_pipeline()
@@ -138,8 +143,7 @@ class TrialRecord:
     notes: str = ""
 
     def to_json(self) -> str:
-        payload = {k: getattr(self, k) for k in _JSONL_FIELDS}
-        return json.dumps(payload, separators=(",", ":"), sort_keys=False)
+        return json.dumps(vars(self), separators=(",", ":"))
 
 
 def _lemma3_trial(config: ExperimentConfig, t: int) -> TrialRecord:
@@ -285,17 +289,10 @@ def run_sweep(config: ExperimentConfig, axis: str, values: Sequence[float]) -> S
     the changed parameter."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
-    if axis != "p":
-        fractional = [v for v in values if v != int(v)]
-        if fractional:
-            raise ValueError(f"axis {axis} takes integers, got {fractional}")
-    if axis == "kappa" and config.mode == "lemma4":
-        raise ValueError("axis kappa is not used by mode lemma4")
     # every point's config is validated before the first point runs
-    points = [
-        replace(config, **{axis: float(value) if axis == "p" else int(value)})
-        for value in values
-    ]
+    points = [replace(config, **{axis: value}) for value in values]
+    if axis not in MODE_FIELDS[config.mode]:
+        raise ValueError(f"axis {axis} is not used by mode {config.mode}")
     for point_config in points:
         _check_target(point_config)
     records: list[TrialRecord] = []

@@ -19,7 +19,6 @@ from rainbowgraphs.flow import (
     build_network,
     extract_rainbow_dout,
     extract_via_permutation,
-    hall_witness,
     max_flow,
 )
 from rainbowgraphs.graphs import sample_coloured_digraph, split_probability
@@ -37,7 +36,7 @@ from rainbowgraphs.targets import (
 )
 
 from test_bounds import log_l_oracle, theta_oracle
-from test_flow import check_hall_bruteforce
+from test_flow import check_hall_bruteforce, extracted_witness, scipy_hall_witness
 from test_search import rainbow_copy_oracle, rainbow_tree_oracle
 
 
@@ -68,7 +67,7 @@ def test_flow_hall_equivalence():
             disagreements += 1
         if witness is not None and witness.deficiency <= 0:
             disagreements += 1
-        if hall_witness(d_in, d) != witness:
+        if extracted_witness(d_in, d) != witness:
             disagreements += 1
         i += 1
     elapsed = time.monotonic() - start
@@ -100,7 +99,7 @@ def test_rainbow_extraction_invariants():
                 rainbow.check(d_in, d)
             except AssertionError:
                 violations += 1
-            violations += rainbow != hall_witness(d_in, d)
+            violations += rainbow != scipy_hall_witness(d_in, d)
             continue
         successes += 1
         try:
@@ -270,11 +269,11 @@ def test_search_oracle_equivalence():
 def test_cli_reproducibility(run_cli):
     """Same seed gives byte-identical JSONL/CSV, independent of --jobs."""
     trial_args = ["trial", "--mode", "lemma3", "--n", "20", "--d", "2",
-                  "--p", "0.6", "--eps", "0.5", "--kappa", "60",
+                  "--p", "0.6", "--kappa", "60",
                   "--trials", "24", "--seed", "7"]
     sweep_args = ["sweep", "--mode", "lemma4", "--axis", "p",
                   "--grid", "0.2", "0.5", "0.8", "--n", "30", "--d", "14",
-                  "--eps", "0.5", "--trials", "16", "--seed", "8"]
+                  "--trials", "16", "--seed", "8"]
     ok = True
     detail = []
     for args in (trial_args, sweep_args):

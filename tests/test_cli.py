@@ -133,11 +133,35 @@ class TestOtherCommands:
             (["search", "--graph", str(graph), "--target", "tree", "--seed", "3"],
              "--seed needs --target tree and --size"),
             (["gamma", "--family", "cycle", "--size", "5", "--seed", "0"], "--seed needs --family tree"),
+            (["trial", "--mode", "lemma3", "--n", "10", "--p", "0.5", "--kappa", "30", "--d", "2",
+              "--trials", "5", "--eps", "0.9"], "--eps is not used by --mode lemma3"),
+            (["trial", "--mode", "lemma4", "--n", "10", "--p", "0.5", "--d", "2", "--trials", "5",
+              "--eps", "0.9"], "--eps is not used by --mode lemma4"),
+            (["sweep", "--mode", "lemma4", "--axis", "d", "--grid", "3", "--n", "10", "--trials", "2",
+              "--d", "5"], "--d is set by --axis"),
+            (["sweep", "--mode", "lemma4", "--axis", "n", "--grid", "inf", "--trials", "1", "--d", "2"],
+             "n takes integers, got inf"),
         ]:
             assert main(args) == 2
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: ") and message in err
             assert err.count("\n") == 1
+
+    def test_every_option_a_mode_does_not_read_exits_2(self, monkeypatch, capsys):
+        for mode in harness.MODES:
+            monkeypatch.setitem(harness._TRIAL_FN, mode, lambda c, t: pytest.fail("a trial ran"))
+        options = {"kappa": ("kappa", "30"), "eps": ("eps", "0.5"),
+                   "target_family": ("target", "cycle"), "target_size": ("size", "8")}
+        rejected = 0
+        for mode, fields in harness.MODE_FIELDS.items():
+            for option, value in (options[f] for f in options if f not in fields):
+                for command in (["trial"], ["sweep", "--axis", "p", "--grid", "0.3"]):
+                    args = [*command, "--mode", mode, "--n", "5", "--trials", "1", f"--{option}", value]
+                    assert main(args) == 2
+                    out, err = capsys.readouterr()
+                    assert out == "" and err == f"error: --{option} is not used by --mode {mode}\n"
+                    rejected += 1
+        assert rejected == 14  # lemma3: eps, target, size; lemma4: those and kappa
 
     def test_sweep_never_checks_the_value_it_overrides(self, tmp_path):
         # without --n the default n=50 breaks the pipeline's n <= 16 cap,
@@ -168,7 +192,7 @@ class TestOtherCommands:
 class TestReproducibility:
     def test_trial_byte_identical(self, run_cli):
         args = ["trial", "--mode", "lemma4", "--n", "30", "--d", "12",
-                "--p", "0.3", "--eps", "0.5", "--trials", "20", "--seed", "11"]
+                "--p", "0.3", "--trials", "20", "--seed", "11"]
         a = run_cli(*args)
         b = run_cli(*args, "--jobs", "3")
         assert a.returncode == 0 and b.returncode == 0
@@ -177,7 +201,7 @@ class TestReproducibility:
     def test_sweep_byte_identical(self, run_cli):
         args = ["sweep", "--mode", "lemma4", "--axis", "d",
                 "--grid", "8", "12", "16", "--n", "30", "--p", "0.3",
-                "--eps", "0.5", "--trials", "15", "--seed", "12"]
+                "--trials", "15", "--seed", "12"]
         a = run_cli(*args)
         b = run_cli(*args, "--jobs", "2")
         assert a.returncode == 0 and b.returncode == 0

@@ -23,22 +23,25 @@ SPARSE = str(GOLDEN / "input_sparse.txt")  # too few colours for d=1: infeasible
 WIDE = str(GOLDEN / "input_kappa30.txt")  # kappa=30, one colour present: infeasible
 GRAPH = str(GOLDEN / "input_graph.txt")  # gen --n 7 --p 0.9 --kappa 30 --seed 4
 
-_LEMMA3 = ["--mode", "lemma3", "--n", "20", "--p", "0.6", "--kappa", "45", "--d", "2",
-           "--trials", "12", "--seed", "4"]
-_LEMMA4 = ["--mode", "lemma4", "--n", "30", "--p", "0.3", "--d", "12", "--trials", "12",
-           "--seed", "11"]
-_PIPE = ["--mode", "pipeline", "--n", "8", "--p", "0.95", "--kappa", "60", "--eps", "1.0",
-         "--d", "3", "--trials", "24", "--seed", "5"]
+# each mode's options but the one a sweep's --axis sets, which is added
+# back for the trials
+_LEMMA3 = ["--mode", "lemma3", "--n", "20", "--kappa", "45", "--d", "2", "--trials", "12",
+           "--seed", "4"]
+_LEMMA4 = ["--mode", "lemma4", "--n", "30", "--p", "0.3", "--trials", "12", "--seed", "11"]
+_PIPE = ["--mode", "pipeline", "--n", "8", "--kappa", "60", "--eps", "1.0", "--d", "3",
+         "--trials", "24", "--seed", "5"]
 _BOUNDS = ["bounds", "--n", "4096", "--delta", "2", "--eps", "0.5"]
 
 # case name -> (argv without --out, exit code)
 CASES: dict[str, tuple[list[str], int]] = {
-    "trial_lemma3.jsonl": (["trial", *_LEMMA3], 0),
-    "trial_lemma4.jsonl": (["trial", *_LEMMA4], 0),
-    "trial_pipeline_cycle.jsonl": (["trial", *_PIPE, "--target", "cycle", "--size", "8"], 0),
+    "trial_lemma3.jsonl": (["trial", *_LEMMA3, "--p", "0.6"], 0),
+    "trial_lemma4.jsonl": (["trial", *_LEMMA4, "--d", "12"], 0),
+    "trial_pipeline_cycle.jsonl": (
+        ["trial", *_PIPE, "--p", "0.95", "--target", "cycle", "--size", "8"], 0),
     "trial_pipeline_path_padded.jsonl": (
-        ["trial", *_PIPE, "--target", "path", "--size", "5"], 0),
-    "trial_pipeline_tree.jsonl": (["trial", *_PIPE, "--target", "tree", "--size", "8"], 0),
+        ["trial", *_PIPE, "--p", "0.95", "--target", "path", "--size", "5"], 0),
+    "trial_pipeline_tree.jsonl": (
+        ["trial", *_PIPE, "--p", "0.95", "--target", "tree", "--size", "8"], 0),
     "sweep_lemma4_d.jsonl": (
         ["sweep", *_LEMMA4, "--axis", "d", "--grid", "8", "12", "16"], 0),
     "sweep_lemma4_d.csv": (

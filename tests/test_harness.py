@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from rainbowgraphs import flow, harness
@@ -225,6 +226,21 @@ class TestConfigValidation:
         )
         with pytest.raises(ValueError, match="exceeds int32"):
             run_sweep(config, "kappa", (30, 3_000_000_000))
+
+    @pytest.mark.parametrize("value", [10.5, math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["n", "kappa", "d", "trials", "seed", "jobs"])
+    def test_integer_field_rejects_non_integer(self, field, value, monkeypatch):
+        monkeypatch.setitem(harness._TRIAL_FN, "lemma4", lambda c, t: pytest.fail("a trial ran"))
+        with pytest.raises(ValueError, match=f"{field} takes integers"):
+            run_trials(lemma4_config(**{field: value}))
+
+    @pytest.mark.parametrize("seed", [np.int64(3), 3.0])
+    def test_integer_field_kept_as_plain_int(self, seed):
+        config = lemma4_config(seed=seed, trials=4)
+        assert type(config.seed) is int
+        want = records_to_jsonl(run_trials(lemma4_config(seed=3, trials=4)))
+        assert records_to_jsonl(run_trials(config)) == want
+        assert want.count('"seed":3,') == 4
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_rejects_jobs_below_one(self, jobs):

@@ -14,18 +14,19 @@ sample row of the same workload, it shows how a change splits between
 sampling and the network and solve.  Every checkout runs each substream
 once, the checkouts taking turns call by call in alternating order, and
 the outputs (the sample's rows, the solve's owners) must be equal.  The
-table gives per checkout the median ms of a call and its minor page
-faults per call (`resource.getrusage`).  With two or more checkouts,
-`slower` counts the calls slower in the last checkout than in the first
-(a tie counts for neither); a config is marked when that count reaches
-nine tenths of its calls, and the script exits 1 if one is.  Nothing is
-written to disk.
+table gives per checkout the median ms of a call.  With two or more
+checkouts, `slower` counts the calls slower in the last checkout than in
+the first (a tie counts for neither); a config is marked when that count
+reaches nine tenths of its calls, and the script exits 1 if one is.
+Nothing is written to disk.  The table counts no page faults: glibc's
+heap is shared by every checkout imported here, so one checkout's frees
+decide where the next one's arrays land, and page faults only compare
+when each checkout is counted in its own process.
 """
 
 from __future__ import annotations
 
 import argparse
-import resource
 import statistics
 import time
 from pathlib import Path
@@ -57,25 +58,22 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     packages = load_all(args.checkouts, args.seed)
-    heads = [f"{checkout} {unit}" for checkout in args.checkouts for unit in ("ms", "faults")]
+    heads = [f"{checkout} ms" for checkout in args.checkouts]
     print("\t".join(["config", "calls", "slower", *heads]))
     slower = 0
     for index, (name, operation, n, p, kappa, calls) in enumerate(CONFIGS):
         p1 = packages[0].graphs.split_probability(p).p1
         times = [[0.0] * len(packages) for _ in range(calls)]
-        faults = [0] * len(packages)
         for call in range(calls + 1):  # call 0 warms every checkout up
             turn = range(len(packages)) if call % 2 == 0 else reversed(range(len(packages)))
             outputs = []
             for k in turn:
                 rng = packages[k].rng.substream(args.seed, index, call, "sample-table")
-                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 start = time.perf_counter()
                 output = operation(packages[k], n, p1, kappa, rng)
                 elapsed = time.perf_counter() - start
                 if call:
                     times[call - 1][k] = elapsed
-                    faults[k] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
                 outputs.append(output)
             if any(not np.array_equal(outputs[0], output) for output in outputs[1:]):
                 raise SystemExit(f"{name}: the checkouts' outputs differ at call {call}")
@@ -84,7 +82,7 @@ def main() -> int:
         mark = " slower" if calls >= MIN_MARKED and paired >= 0.9 * calls else ""
         slower += bool(mark)
         cells = [f"{name} n={n} p={p} kappa={kappa}", str(calls), f"{paired}/{calls}" if len(packages) > 1 else "-"]
-        cells += [f"{ms:.3f}\t{faults[k] / calls:.1f}" for k, ms in enumerate(medians)]
+        cells += [f"{ms:.3f}" for ms in medians]
         print("\t".join(cells) + mark, flush=True)
     return 1 if slower else 0
 
