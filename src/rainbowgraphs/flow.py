@@ -9,11 +9,11 @@ per assignment yields a digraph with out-degree d everywhere and globally
 distinct arc colours.  Each colour is assigned to at most one vertex, so
 `max_flow` describes a flow by `owner`, the vertex each colour's unit
 reaches (-1 for none), and one lookup indexed by colour finds the arcs of
-the assignments.  `max_flow` runs Dinic's algorithm itself and returns
-the flow of scipy's Dinic solver.  Where a vertex has several arcs of
-its assigned colour, the decomposition keeps the head of least rank: the
-head itself in `extract_rainbow_dout`, its image under a random
-per-vertex relabelling in `extract_via_permutation`.  The network
+the assignments.  `max_flow` runs Dinic's algorithm itself and, on every
+network, returns the flow of scipy's Dinic solver.  Where a vertex has
+several arcs of its assigned colour, the decomposition keeps the head of
+least rank: the head itself in `extract_rainbow_dout`, its image under a
+random per-vertex relabelling in `extract_via_permutation`.  The network
 depends only on the (colour, tail) pairs, so the relabelling changes
 that tie-break and nothing else.
 
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
 
 from .graphs import ColouredDigraph, relabel
 
@@ -57,24 +56,18 @@ class FlowNetwork:
         return self.kappa + self.n + 2
 
     @property
-    def source(self) -> int:
-        return 0
-
-    @property
     def sink(self) -> int:
         return self.kappa + self.n + 1
-
-    def colour_node(self, x: int) -> int:
-        return x
 
     def vertex_node(self, v: int) -> int:
         return self.kappa + 1 + v
 
     def capacity_matrix(self) -> csr_matrix:
-        """The int32 CSR matrix scipy's max-flow takes, built row by row:
-        the source's arcs to the colours, each colour's arcs to vertices
-        (middle_arcs is sorted, so column indices ascend in every row),
-        then each vertex's arc to the sink."""
+        """The int32 CSR matrix whose rows `max_flow` scans, laid out as
+        scipy's max-flow takes it, built row by row: the source's arcs to
+        the colours, each colour's arcs to vertices (middle_arcs is sorted,
+        so column indices ascend in every row), then each vertex's arc to
+        the sink."""
         colours, vertices = self.middle_arcs.T
         n, kappa = self.n, self.kappa
         # row sizes after indptr's leading 0; the sink's row is empty
@@ -184,44 +177,23 @@ def max_flow(net: FlowNetwork) -> tuple[int, np.ndarray]:
     carries the number of colours v owns.
 
     Dinic's algorithm runs here, on `net.capacity_matrix()`, scanning
-    arcs in the order of scipy's Dinic solver, so `owner` is the flow
-    that solver returns on the same matrix.  The first phase sends each
-    colour's unit, colours ascending, to the smallest adjacent vertex
-    that still has room; when that leaves a vertex short,
-    `_later_phases` continues from its owners.  Only a network with
-    fewer than d*n colours, or with a vertex adjacent to fewer than d of
-    them, goes to scipy's `maximum_flow`: any flow leaves a vertex of it
-    short, and `owner` is read off scipy's flow.
+    arcs in the order of scipy's Dinic solver, so on every network
+    `owner` is the flow that solver returns on the same matrix.  The
+    first phase sends each colour's unit, colours ascending, to the
+    smallest adjacent vertex that still has room; `_later_phases`
+    continues from its owners while a vertex is short.
     """
-    caps = net.capacity_matrix()
-    phase = _first_phase(net, caps)
-    if phase is not None:
-        owner, room = phase
-        value = _later_phases(net, owner, np.array(room)) if any(room) else net.d * net.n
-        return value, owner
-    res = maximum_flow(caps, net.source, net.sink)
-    # Positive entries in colour rows are the flows on middle arcs (the
-    # reverse entries of source arcs are negative).
-    flow, first, last = res.flow, net.colour_node(1), net.vertex_node(0)
-    span = slice(flow.indptr[first], flow.indptr[last])
-    row_colours = np.repeat(np.arange(1, net.kappa + 1), np.diff(flow.indptr[first : last + 1]))
-    positive = flow.data[span] > 0
-    owner = np.full(net.kappa + 1, -1)
-    owner[row_colours[positive]] = flow.indices[span][positive] - last
-    return int(res.flow_value), owner
+    owner, room = _first_phase(net, net.capacity_matrix())
+    return _later_phases(net, owner, np.array(room)), owner
 
 
-def _first_phase(net: FlowNetwork, caps: csr_matrix) -> tuple[np.ndarray, list[int]] | None:
+def _first_phase(net: FlowNetwork, caps: csr_matrix) -> tuple[np.ndarray, list[int]]:
     """The owners and the list of each vertex's room (d minus the number
     of colours it owns) after Dinic's first phase: one blocking-flow path
     source->c->v->sink per colour c, tried in CSR order, so c takes the
-    smallest adjacent vertex with room.  None when there are fewer than
-    d*n colours or a vertex is adjacent to fewer than d, which leaves a
-    vertex short under any flow."""
+    smallest adjacent vertex with room."""
     kappa, d, base = net.kappa, net.d, net.vertex_node(0)
     ptr, nodes = caps.indptr[1 : kappa + 2].tolist(), memoryview(caps.indices)
-    if kappa < d * net.n or np.bincount(caps.indices[ptr[0] : ptr[-1]], minlength=net.sink)[base:].min() < d:
-        return None
     room = [d] * net.num_nodes  # indexed by vertex node
     owner = [-1] * (kappa + 1)
     left = d * net.n

@@ -49,7 +49,7 @@ MODE_FIELDS = {
 }
 MODES = tuple(MODE_FIELDS)
 SWEEP_AXES = ("p", "kappa", "d", "n")
-_INTEGER_FIELDS = ("n", "kappa", "d", "trials", "seed", "jobs")
+_INTEGER_FIELDS = ("n", "kappa", "d", "trials", "seed", "jobs", "target_size")
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,11 @@ class ExperimentConfig:
         """Check every parameter the trials rely on, so a bad config is
         rejected before any trial runs, never partway through a run.  An
         integer field takes an int, a numpy integer or a whole float, and
-        keeps it as a plain int."""
+        keeps it as a plain int; target_size may also be None."""
         for name in _INTEGER_FIELDS:
             value = getattr(self, name)
-            if type(value) is not int:  # a plain int, the common case, is kept
+            # a plain int, the common case, is kept
+            if type(value) is not int and (value is not None or name != "target_size"):
                 whole = isinstance(value, float) and value.is_integer()
                 if not (whole or isinstance(value, numbers.Integral)):
                     raise ValueError(f"{name} takes integers, got {value}")

@@ -15,7 +15,7 @@ from rainbowgraphs.harness import (
     wilson_interval,
 )
 from rainbowgraphs.rng import substream
-from test_flow import first_phase, precheck_rejects
+from test_flow import first_phase, precheck_rejects, scipy_max_flow_calls
 
 
 def lemma4_config(**kw):
@@ -84,15 +84,15 @@ class TestRunTrials:
 
     def test_pipeline_decides_failed_coupling_by_flow_alone(self, monkeypatch):
         # a trial whose truncation counts exceed d solves its one max-flow
-        # and neither extracts nor shuffles; scipy's solver runs only on the
-        # networks the precheck rejects, and the later phases finish the
-        # other networks whose first phase leaves a vertex short
+        # and neither extracts nor shuffles; scipy's solver never runs, and
+        # the later phases finish every network whose first phase leaves a
+        # vertex short, those the precheck rejects among them
         config = ExperimentConfig(
             n=12, p=0.9, kappa=80, eps=1.0, d=3, trials=1, seed=0, mode="pipeline",
             target_family="cycle", target_size=12,
         )
         want = [harness._pipeline_trial(config, t).to_json() for t in range(240)]
-        calls = {"flow": 0, "extract": 0, "scipy": 0}
+        calls = {"flow": 0, "extract": 0}
         short, rejected = [], []
         tags = []
 
@@ -111,7 +111,7 @@ class TestRunTrials:
 
         monkeypatch.setattr(flow, "max_flow", flow_counter)
         monkeypatch.setattr(harness, "max_flow", flow_counter)
-        monkeypatch.setattr(flow, "maximum_flow", counted("scipy", flow.maximum_flow))
+        scipy_calls = scipy_max_flow_calls(monkeypatch)
         monkeypatch.setattr(
             harness, "extract_via_permutation", counted("extract", harness.extract_via_permutation)
         )
@@ -130,7 +130,7 @@ class TestRunTrials:
             assert rec.to_json() == want[t]
             k_max = truncation_counts(12, p_inner, substream(0, t, "pipe-truncate")).max()
             assert calls["flow"] - before["flow"] == 1
-            assert calls["scipy"] - before["scipy"] == rejected[-1]
+            assert not scipy_calls
             assert calls["extract"] - before["extract"] == (k_max <= config.d)
             if k_max > config.d:
                 assert rec.pipeline_verdict in ("extraction-failed", "coupling-failed")
@@ -140,7 +140,7 @@ class TestRunTrials:
             ("extraction-failed", True), ("coupling-failed", True),
             ("extraction-failed", False), ("no-embedding", False), ("found", False),
         }
-        assert 0 < calls["scipy"] == sum(rejected) < sum(short) < calls["flow"] == 240
+        assert 0 < sum(rejected) < sum(short) < calls["flow"] == 240
 
     def test_pipeline_needs_target(self):
         with pytest.raises(ValueError):
@@ -227,8 +227,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="exceeds int32"):
             run_sweep(config, "kappa", (30, 3_000_000_000))
 
-    @pytest.mark.parametrize("value", [10.5, math.inf, math.nan])
-    @pytest.mark.parametrize("field", ["n", "kappa", "d", "trials", "seed", "jobs"])
+    @pytest.mark.parametrize("value", [10.5, math.inf, math.nan, "8"])
+    @pytest.mark.parametrize("field", ["n", "kappa", "d", "trials", "seed", "jobs", "target_size"])
     def test_integer_field_rejects_non_integer(self, field, value, monkeypatch):
         monkeypatch.setitem(harness._TRIAL_FN, "lemma4", lambda c, t: pytest.fail("a trial ran"))
         with pytest.raises(ValueError, match=f"{field} takes integers"):
@@ -241,6 +241,16 @@ class TestConfigValidation:
         want = records_to_jsonl(run_trials(lemma4_config(seed=3, trials=4)))
         assert records_to_jsonl(run_trials(config)) == want
         assert want.count('"seed":3,') == 4
+
+    def test_target_size_whole_float_kept_as_plain_int(self):
+        def config(size):
+            return ExperimentConfig(
+                n=8, p=0.9, kappa=40, eps=1.0, d=2, trials=3, seed=0, mode="pipeline",
+                target_family="cycle", target_size=size,
+            )
+
+        assert type(config(8.0).target_size) is int and lemma4_config().target_size is None
+        assert records_to_jsonl(run_trials(config(8.0))) == records_to_jsonl(run_trials(config(8)))
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_rejects_jobs_below_one(self, jobs):

@@ -1,4 +1,4 @@
-"""Per-solve cost of `flow.max_flow` on ten network configs, per checkout.
+"""Per-solve cost of `flow.max_flow` on twelve network configs, per checkout.
 
     python3 tools/solve_table.py [--seed N] [CHECKOUT ...]
 
@@ -44,6 +44,8 @@ CONFIGS = (
     (1000, 2000, 2, 0.3, 10),
     (1000, 2500, 2, 0.05, 10),
     (1000, 5000, 2, 0.02, 10),
+    (1000, 3000, 2, 0.008, 10),
+    (10_000, 30_000, 2, 0.0012, 3),
 )
 CALLS = 3
 MIN_MARKED = 10  # networks a row needs before it can be marked
