@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ColouredDigraph, sample_d_out, split_probability
+from .graphs import ColouredDigraph, _trusted, sample_d_out, split_probability
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,10 @@ def truncation_counts(n: int, p_target: float, rng: np.random.Generator) -> np.n
 
 def truncate(dgr: ColouredDigraph, d: int, counts: np.ndarray) -> ColouredDigraph | None:
     """Keep the first counts[v] arcs of each vertex v, in stored arc order,
-    grouped by tail; None when some count exceeds d."""
+    grouped by tail; None when some count exceeds d.  counts must have
+    shape (n,)."""
+    if np.shape(counts) != (dgr.n,):
+        raise ValueError(f"need counts of shape ({dgr.n},), one per vertex, got {np.shape(counts)}")
     if counts.max(initial=0) > d:
         return None
     tails = dgr.arcs[:, 0]
@@ -47,9 +50,7 @@ def truncate(dgr: ColouredDigraph, d: int, counts: np.ndarray) -> ColouredDigrap
     # position i of the tail-sorted order is kept when it falls before its
     # group's offset plus its tail's count
     limit = np.repeat(np.cumsum(sizes) - sizes + counts, sizes)
-    arcs = dgr.arcs[order[np.arange(len(order)) < limit]]
-    arcs.flags.writeable = False
-    return ColouredDigraph(dgr.n, dgr.kappa, arcs)
+    return _trusted(ColouredDigraph, dgr.n, dgr.kappa, dgr.arcs[order[np.arange(len(order)) < limit]])
 
 
 def couple(

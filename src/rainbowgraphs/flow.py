@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .graphs import ColouredDigraph, relabel
+from .graphs import ColouredDigraph, _trusted, relabel
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,8 +340,7 @@ def _decompose(owner: np.ndarray, d_in: ColouredDigraph, d: int, head_rank: np.n
     # colour by colour.
     order = np.lexsort((head_rank[used], colours, tails))
     arcs = d_in.arcs[used[order[np.diff(colours[order], prepend=-1) != 0]]]
-    arcs.flags.writeable = False
-    return RainbowDOut(ColouredDigraph(d_in.n, d_in.kappa, arcs), d)
+    return RainbowDOut(_trusted(ColouredDigraph, d_in.n, d_in.kappa, arcs), d)
 
 
 def _extract(d_in: ColouredDigraph, d: int, head_rank: np.ndarray) -> RainbowDOut | HallWitness:

@@ -8,10 +8,11 @@ p1 and forgetting orientation reproduces the undirected model.
 
 Every coloured graph is one read-only (m, 3) int64 array of rows:
 (tail, head, colour) for a digraph, (u, v, colour) with u < v for a
-graph, validated once when the graph is built.  A graph keeps, without a
-copy, an int64 (m, 3) C-contiguous array that is read-only, as is every
-array in its `.base` chain, and copies any other rows; so the package's
-producers mark their fresh arrays read-only before building a graph.
+graph.  Where the rows come from decides how a graph takes them: the
+public constructors copy and check the rows they are given, and the
+package's own samplers and transforms, whose rows are valid by
+construction, hand them over through `_trusted` with no copy and no
+check.
 
 Per-row Generator calls define the coloured samplers' streams: for each
 tail t, `sample_coloured_digraph` draws rng.random(n) < p1 with slot t
@@ -33,20 +34,10 @@ import numpy as np
 UNCOLOURED = 0
 
 
-def _shareable(rows) -> bool:
-    """Whether a graph may keep rows without a copy: an int64 (m, 3)
-    C-contiguous ndarray (no subclass), read-only as is every array in
-    its `.base` chain."""
-    a = rows
-    while type(a) is np.ndarray and not a.flags.writeable:
-        a = a.base
-    return a is None and rows.dtype == np.int64 and rows.shape[1:] == (3,) and rows.flags.c_contiguous
-
-
 def _int64_rows(rows) -> np.ndarray:
-    """A new (m, 3) int64 array of the triples in rows, whose entries must
-    be integers that int64 holds."""
-    a = np.array(rows)
+    """A new (m, 3) int64 array, owning its data, of the triples in rows,
+    whose entries must be integers that int64 holds."""
+    a = np.asarray(rows)
     if a.dtype != np.int64:
         if a.dtype.kind not in "biuf":
             raise ValueError(f"rows must hold integers, got {a.dtype} entries")
@@ -56,17 +47,16 @@ def _int64_rows(rows) -> np.ndarray:
         if np.count_nonzero(wrong):
             raise ValueError(f"rows must hold int64 integers, got {a[wrong][0].item()!r}")
         a = b
-    return a.reshape(len(a), 3)  # raises unless m triples
+    return np.array(a.reshape(len(a), 3))  # raises unless m triples
 
 
 def _frozen_rows(rows, n: int, kappa: int, undirected: bool) -> np.ndarray:
-    """Rows (u, v, colour) as a read-only (m, 3) int64 array, after checking
-    n >= 1, endpoints in [0, n), no self-loop (u < v for an undirected
-    graph), no repeated pair and colour 0 or in [1, kappa].  Rows that
-    the graph may keep (`_shareable`) are checked in place."""
+    """A read-only (m, 3) int64 copy of the rows (u, v, colour), after
+    checking n >= 1, endpoints in [0, n), no self-loop (u < v for an
+    undirected graph), no repeated pair and colour 0 or in [1, kappa]."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    a = rows if _shareable(rows) else _int64_rows(rows)
+    a = _int64_rows(rows)
     u, v = a[:, 0], a[:, 1]
     # negative entries wrap to huge unsigned values, so one comparison
     # bounds every column from both sides
@@ -77,14 +67,11 @@ def _frozen_rows(rows, n: int, kappa: int, undirected: bool) -> np.ndarray:
         row = a[np.argmax(outside.any(axis=1) | loops)].tolist()
         raise ValueError(f"bad {kind} {tuple(row)} for n={n}, kappa={kappa}")
     keys = u * n + v
-    # rows in increasing pair order, as the samplers make them, repeat no
-    # pair; only other rows are sorted to find a repeat
-    if np.count_nonzero(keys[1:] <= keys[:-1]):
-        keys.sort()
-        repeats = keys[1:] == keys[:-1]
-        if np.count_nonzero(repeats):
-            key = keys[np.argmax(repeats)]
-            raise ValueError(f"duplicate {kind} ({key // n}, {key % n})")
+    keys.sort()
+    repeats = keys[1:] == keys[:-1]
+    if np.count_nonzero(repeats):
+        key = keys[np.argmax(repeats)]
+        raise ValueError(f"duplicate {kind} ({key // n}, {key % n})")
     a.flags.writeable = False
     return a
 
@@ -135,6 +122,17 @@ class ColouredDigraph(_ArrayFields):
 
     def out_degrees(self) -> np.ndarray:
         return np.bincount(self.arcs[:, 0], minlength=self.n)
+
+
+def _trusted(cls, n: int, kappa: int, rows: np.ndarray):
+    """A `cls` graph of rows the package built valid: an int64 (m, 3)
+    C-contiguous array that owns its data or is a view of a read-only
+    array.  The rows are frozen and kept, with no copy and no check."""
+    rows.flags.writeable = False
+    graph = object.__new__(cls)
+    for field, value in zip(fields(cls), (n, kappa, rows)):
+        object.__setattr__(graph, field.name, value)
+    return graph
 
 
 @dataclass(frozen=True)
@@ -188,7 +186,9 @@ def split_probability(p: float) -> ProbabilitySplit:
     return ProbabilitySplit(p=p, p1=p1)
 
 
-def _check_colour_params(kappa: int) -> None:
+def _check_sample_params(n: int, kappa: int) -> None:
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     if kappa < 1:
         raise ValueError(f"need kappa >= 1, got {kappa}")
 
@@ -330,8 +330,8 @@ def sample_coloured_graph(
     present edge gets an independent uniform colour from [1, kappa]."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    _check_colour_params(kappa)
-    return ColouredGraph(n=n, kappa=kappa, edges=_coloured_rows(rng, n, p, kappa, directed=False))
+    _check_sample_params(n, kappa)
+    return _trusted(ColouredGraph, n, kappa, _coloured_rows(rng, n, p, kappa, directed=False))
 
 
 def sample_coloured_digraph(
@@ -341,8 +341,8 @@ def sample_coloured_digraph(
     probability p1, coloured uniformly from [1, kappa]."""
     if not 0.0 <= p1 <= 1.0:
         raise ValueError(f"p1 must lie in [0, 1], got {p1}")
-    _check_colour_params(kappa)
-    return ColouredDigraph(n=n, kappa=kappa, arcs=_coloured_rows(rng, n, p1, kappa, directed=True))
+    _check_sample_params(n, kappa)
+    return _trusted(ColouredDigraph, n, kappa, _coloured_rows(rng, n, p1, kappa, directed=True))
 
 
 def coalesce_orientation(
@@ -360,9 +360,7 @@ def coalesce_orientation(
     # the colour of the pair's second stored arc
     pick[twins] += rng.random(np.count_nonzero(twins)) < 0.5
     rows = order[pick]
-    edges = np.column_stack([u[rows], v[rows], c[rows]])
-    edges.flags.writeable = False
-    return ColouredGraph(d.n, d.kappa, edges)
+    return _trusted(ColouredGraph, d.n, d.kappa, np.column_stack([u[rows], v[rows], c[rows]]))
 
 
 # rows per selection block of `sample_d_out`: 2 MB of indices at n=1000
@@ -399,8 +397,7 @@ def sample_d_out(n: int, d: int, rng: np.random.Generator) -> ColouredDigraph:
         idx[tied] = np.argsort(keys[tied], axis=1)[:, :width]
     heads = _other_vertex(idx[:, :d]).ravel()
     arcs = np.column_stack([np.repeat(np.arange(n), d), heads, np.full(n * d, UNCOLOURED)])
-    arcs.flags.writeable = False
-    return ColouredDigraph(n=n, kappa=0, arcs=arcs)
+    return _trusted(ColouredDigraph, n, 0, arcs)
 
 
 def _other_vertex(idx: np.ndarray) -> np.ndarray:
@@ -440,4 +437,4 @@ def apply_permutations(d: ColouredDigraph, f: PermutationFamily) -> ColouredDigr
     if f.n != d.n:
         raise ValueError(f"family covers {f.n} vertices, digraph has {d.n}")
     t, h, c = d.arcs.T
-    return ColouredDigraph(d.n, d.kappa, np.column_stack([t, f.perms[t, h], c]))
+    return _trusted(ColouredDigraph, d.n, d.kappa, np.column_stack([t, f.perms[t, h], c]))

@@ -33,6 +33,7 @@ from .coupling import couple, truncate, truncation_counts
 from .flow import HallWitness, build_network, check_network_size, extract_via_permutation, max_flow
 from .graphs import (
     ColouredDigraph,
+    _trusted,
     coalesce_orientation,
     sample_coloured_digraph,
     split_probability,
@@ -208,8 +209,7 @@ def _pipeline_trial(config: ExperimentConfig, t: int) -> TrialRecord:
     arcs = rainbow.digraph.arcs.copy()
     for v in range(n):
         shuffle_rng.shuffle(arcs[v * d : (v + 1) * d])
-    arcs.flags.writeable = False
-    inner = truncate(ColouredDigraph(n=n, kappa=rainbow.digraph.kappa, arcs=arcs), d, counts)
+    inner = truncate(_trusted(ColouredDigraph, n, rainbow.digraph.kappa, arcs), d, counts)
     host = coalesce_orientation(inner, substream(config.seed, t, "pipe-coalesce"))
     h = _padded_target(config.target_family, config.target_size, config.seed, n)
     emb = find_rainbow_copy_exact(host, h)
@@ -267,8 +267,10 @@ class SweepPoint:
     ci_hi: float
 
     def to_csv_row(self) -> str:
+        # an integral point prints as an integer, any other point in full
+        point = int(self.point) if self.point.is_integer() else repr(self.point)
         return (
-            f"{self.point:g},{self.trials},{self.successes},"
+            f"{point},{self.trials},{self.successes},"
             f"{self.rate:.6f},{self.ci_lo:.6f},{self.ci_hi:.6f}"
         )
 

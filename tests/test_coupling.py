@@ -122,3 +122,11 @@ def test_truncate_uneven_groups():
             by_tail[arc[0]].append(arc)
         assert inner.arcs.tolist() == [a for v in range(n) for a in by_tail[v][: counts[v]]]
     assert truncate(ColouredDigraph(n, 5, rows), d, np.full(n, d + 1)) is None
+
+
+def test_truncate_rejects_counts_not_one_per_vertex():
+    # a length-1 array would broadcast and cut every tail at its count
+    dgr = ColouredDigraph(3, 2, ((0, 1, 1), (0, 2, 2), (1, 0, 1), (2, 0, 2)))
+    for counts in (np.array([1]), np.array([1, 1]), np.ones(4, np.int64), np.ones((3, 1), np.int64)):
+        with pytest.raises(ValueError, match="counts of shape"):
+            truncate(dgr, 2, counts)

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from rainbowgraphs import graphs
+from rainbowgraphs import graphs, harness
+from rainbowgraphs.coupling import truncate, truncation_counts
+from rainbowgraphs.flow import RainbowDOut, extract_rainbow_dout, extract_via_permutation
 from rainbowgraphs.graphs import (
     ColouredDigraph,
     ColouredGraph,
@@ -66,7 +68,8 @@ def loop_graph_rows(n, p, kappa, rng):
 
 
 def frozen_rows_reference(rows, n, kappa, undirected):
-    """`_frozen_rows` as it was before its sort skip: every key is sorted."""
+    """`_frozen_rows` written plainly: np.array converts the rows and every
+    key is sorted."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     a = np.array(rows, dtype=np.int64).reshape(len(rows), 3)
@@ -103,6 +106,19 @@ def sweep_configs(count, seed):
         p = SWEEP_PS[i % 7] if i % 7 < 6 else float(r.random())
         kappa = SWEEP_KAPPAS[i % 13] if i % 13 < 12 else int(r.integers(1, 2**32 + 1))
         yield n, p, kappa, i % 3
+
+
+def assert_built_valid(g):
+    """g's rows are what the public constructor makes of a copy of them:
+    valid int64 (m, 3) C-contiguous rows, read-only, as is every array in
+    their `.base` chain."""
+    rows = g.arcs if isinstance(g, ColouredDigraph) else g.edges
+    assert type(g)(g.n, g.kappa, rows.copy()) == g
+    assert rows.dtype == np.int64 and rows.shape == (len(rows), 3) and rows.flags.c_contiguous
+    a = rows
+    while a is not None:
+        assert not a.flags.writeable
+        a = a.base
 
 
 def assert_draw_for_draw(sampler, loop, n, p, kappa, warm, *keys):
@@ -375,12 +391,12 @@ class TestValidation:
 
         want = outcome(frozen_rows_reference, rows)
         assert outcome(_frozen_rows, rows) == want
-        # the same rows as a read-only array, which the graph keeps
-        shared = np.array(rows, dtype=np.int64).reshape(-1, 3).copy()
-        shared.flags.writeable = False
-        assert outcome(_frozen_rows, shared) == want
+        # the same rows as a read-only array, which the graph copies too
+        frozen = np.array(rows, dtype=np.int64).reshape(-1, 3).copy()
+        frozen.flags.writeable = False
+        assert outcome(_frozen_rows, frozen) == want
         if not isinstance(want, str):
-            assert _frozen_rows(shared, n, kappa, undirected) is shared
+            assert not np.shares_memory(_frozen_rows(frozen, n, kappa, undirected), frozen)
 
     @pytest.mark.parametrize(
         "perms",
@@ -411,6 +427,7 @@ class TestRepresentation:
         rows[0, 2] = 2
         assert d.arcs.tolist() == [[0, 1, 1], [1, 2, 2]]
         assert rows.flags.writeable
+        assert d.arcs.base is None  # so nothing can write to the graph's rows
 
     def test_read_only_view_of_writable_rows_is_copied(self):
         base = np.array([[0, 1, 1], [1, 2, 2]])
@@ -422,17 +439,16 @@ class TestRepresentation:
         base[0, 2] = 2
         assert rows.tolist() == [[0, 1, 1], [1, 2, 2]]
 
-    def test_read_only_owned_rows_are_shared(self):
+    def test_read_only_rows_are_copied(self):
+        # a caller's rows are copied even when nothing can write to them:
+        # an owned read-only array, a read-only slice, an ndarray subclass
         rows = np.array([[0, 1, 1], [1, 2, 2]])
         rows.flags.writeable = False
-        assert np.shares_memory(ColouredDigraph(n=3, kappa=2, arcs=rows).arcs, rows)
-        assert np.shares_memory(ColouredGraph(n=3, kappa=2, edges=rows).edges, rows)
-        # and so are read-only slices of them, but not a strided view
-        assert np.shares_memory(ColouredDigraph(n=3, kappa=2, arcs=rows[1:]).arcs, rows)
-        assert not np.shares_memory(ColouredDigraph(n=3, kappa=2, arcs=rows[:, [1, 0, 2]]).arcs, rows)
-        assert not np.shares_memory(ColouredDigraph(n=3, kappa=2, arcs=rows[::-1]).arcs, rows)
-        sub = rows.view(type("Rows", (np.ndarray,), {}))  # an ndarray subclass is copied
-        assert type(ColouredDigraph(n=3, kappa=2, arcs=sub).arcs) is np.ndarray
+        for given in (rows, rows[1:], rows.view(type("Rows", (np.ndarray,), {}))):
+            for g in (ColouredDigraph(n=3, kappa=2, arcs=given), ColouredGraph(n=3, kappa=2, edges=given)):
+                kept = g.arcs if isinstance(g, ColouredDigraph) else g.edges
+                assert type(kept) is np.ndarray and not np.shares_memory(kept, rows)
+                assert kept.tolist() == given.tolist()
 
     def test_rows_are_int64_with_three_columns(self):
         for g in (
@@ -442,6 +458,41 @@ class TestRepresentation:
         ):
             rows = g.edges if isinstance(g, ColouredGraph) else g.arcs
             assert rows.dtype == np.int64 and rows.ndim == 2 and rows.shape[1] == 3
+
+    def test_producers_build_valid_read_only_rows(self, monkeypatch):
+        # every graph the package builds through `_trusted` has rows the
+        # public constructor accepts as they are
+        for n, p, kappa, _ in [*sweep_configs(200, 66), (1, 0.0, 1, 0), (1, 1.0, 2**32, 0), (2, 1.0, 1, 0)]:
+            for sampler in (sample_coloured_digraph, sample_coloured_graph):
+                assert_built_valid(sampler(n, p, kappa, substream(67, n, p, kappa)))
+        feasible = 0
+        for t in range(20):
+            digraph = sample_coloured_digraph(12, split_probability(0.9).p1, 80, substream(68, t))
+            assert_built_valid(coalesce_orientation(digraph, substream(69, t)))
+            assert_built_valid(apply_permutations(digraph, random_permutation_family(12, substream(70, t))))
+            for rainbow in (extract_rainbow_dout(digraph, 3), extract_via_permutation(digraph, 3, substream(71, t))):
+                if isinstance(rainbow, RainbowDOut):
+                    feasible += 1
+                    assert_built_valid(rainbow.digraph)
+        assert feasible
+        for n, d in [(2, 1), (6, 2), (9, 8), (50, 7)]:
+            d_out = sample_d_out(n, d, substream(72, n))
+            assert_built_valid(d_out)
+            assert_built_valid(apply_permutations(d_out, random_permutation_family(n, substream(73, n))))
+            for counts in (np.zeros(n, np.int64), np.full(n, d), np.minimum(truncation_counts(n, 0.5, substream(74, n)), d)):
+                assert_built_valid(truncate(d_out, d, counts))
+        # the pipeline's shuffled copy of the extraction, and its truncation
+        built = []
+        monkeypatch.setattr(harness, "truncate", lambda dgr, d, counts: built.append(dgr) or truncate(dgr, d, counts))
+        config = harness.ExperimentConfig(
+            n=12, p=0.9, kappa=80, eps=1.0, d=3, trials=20, seed=0, mode="pipeline",
+            target_family="cycle", target_size=12,
+        )
+        records = harness.run_trials(config)
+        assert len(built) == sum(r.inner_arc_count is not None for r in records) > 0
+        for g in built:
+            assert_built_valid(g)
+            assert_built_valid(truncate(g, 3, np.ones(12, np.int64)))
 
     def test_equality_is_value_equality(self):
         a = ColouredDigraph(n=3, kappa=2, arcs=((0, 1, 1), (1, 2, 2)))
@@ -551,11 +602,15 @@ class TestLoopReferences:
 
     @pytest.mark.parametrize("sampler", [sample_coloured_digraph, sample_coloured_graph])
     def test_samplers_reject_other_generators_and_wide_kappa_before_drawing(self, sampler):
-        for make, kappa in [(lambda: np.random.Generator(np.random.MT19937(63)), 5), (lambda: substream(63), 2**32 + 1)]:
+        for make, n, kappa, message in [
+            (lambda: np.random.Generator(np.random.MT19937(63)), 6, 5, "PCG64"),
+            (lambda: substream(63), 6, 2**32 + 1, "kappa <= 2"),
+            (lambda: substream(63), 0, 5, "need n >= 1, got 0"),
+        ]:
             rng, twin = make(), make()
             rng.integers(1, 1000, 1), twin.integers(1, 1000, 1)  # with a cached half
-            with pytest.raises(ValueError):
-                sampler(6, 0.5, kappa, rng)
+            with pytest.raises(ValueError, match=message):
+                sampler(n, 0.5, kappa, rng)
             assert rng.integers(1, 1000, 3).tolist() == twin.integers(1, 1000, 3).tolist()
             assert rng.random(3).tolist() == twin.random(3).tolist()
 

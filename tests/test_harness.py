@@ -304,6 +304,12 @@ class TestRunSweep:
         assert lines[0] == "point,trials,successes,rate,ci_lo,ci_hi"
         assert len(lines) == 3
 
+    def test_csv_points_print_in_full(self):
+        # an integral point as an integer, any other point unrounded
+        points = (1234567.0, 2000001.0, 8.0, 0.123456789, 0.95)
+        cells = [SweepPoint(point, 2, 1, 0.5, 0.1, 0.9).to_csv_row().split(",")[0] for point in points]
+        assert cells == ["1234567", "2000001", "8", "0.123456789", "0.95"]
+
     @pytest.mark.parametrize("axis", ["d", "n", "kappa"])
     def test_integer_axis_rejects_fractional_value(self, axis):
         with pytest.raises(ValueError, match="integers"):
