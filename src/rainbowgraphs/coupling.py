@@ -10,7 +10,8 @@ the d-out sample by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,14 +20,30 @@ from .graphs import ColouredDigraph, _trusted, sample_d_out, split_probability
 
 @dataclass(frozen=True)
 class CouplingOutcome:
-    d_out: ColouredDigraph
+    """The counts of a coupling, and its d-out and inner digraphs built on
+    first read from the generator state the d-out's keys start at, so a
+    caller that reads only the counts never samples the d-out."""
+
+    n: int
+    d: int
     counts: tuple[int, ...]
-    inner: ColouredDigraph | None
     success: bool
+    d_out_state: dict = field(hash=False)
 
     @property
     def k_max(self) -> int:
         return max(self.counts)
+
+    @functools.cached_property
+    def d_out(self) -> ColouredDigraph:
+        rng = np.random.Generator(np.random.PCG64(0))  # seeded only to be overwritten
+        rng.bit_generator.state = self.d_out_state
+        return sample_d_out(self.n, self.d, rng)
+
+    @functools.cached_property
+    def inner(self) -> ColouredDigraph | None:
+        """The d-out cut at the counts; None when the coupling failed."""
+        return truncate(self.d_out, self.d, np.array(self.counts)) if self.success else None
 
 
 def truncation_counts(n: int, p_target: float, rng: np.random.Generator) -> np.ndarray:
@@ -38,10 +55,14 @@ def truncation_counts(n: int, p_target: float, rng: np.random.Generator) -> np.n
 
 def truncate(dgr: ColouredDigraph, d: int, counts: np.ndarray) -> ColouredDigraph | None:
     """Keep the first counts[v] arcs of each vertex v, in stored arc order,
-    grouped by tail; None when some count exceeds d.  counts must have
-    shape (n,)."""
+    grouped by tail; None when some count exceeds d.  counts must be an
+    integer array of shape (n,) with no negative entry."""
     if np.shape(counts) != (dgr.n,):
         raise ValueError(f"need counts of shape ({dgr.n},), one per vertex, got {np.shape(counts)}")
+    if not np.issubdtype(counts.dtype, np.integer):
+        raise ValueError(f"need integer counts, got dtype {counts.dtype}")
+    if counts.min(initial=0) < 0:
+        raise ValueError(f"need counts >= 0, got {counts.min()}")
     if counts.max(initial=0) > d:
         return None
     tails = dgr.arcs[:, 0]
@@ -57,15 +78,20 @@ def couple(
     n: int, d: int, p_target: float, eps: float, rng: np.random.Generator
 ) -> CouplingOutcome:
     """Sample d-out and truncate it at Binomial(n-1, p1) counts; fails
-    (inner absent) when some count exceeds d."""
+    (inner None) when some count exceeds d.  rng must run on PCG64: the
+    d-out's n(n-1) keys, one 64-bit word each, are skipped with
+    `advance`, so rng ends where drawing them would leave it."""
     if eps <= 0:
         raise ValueError(f"need eps > 0, got {eps}")
-    d_out = sample_d_out(n, d, rng)
-    counts = truncation_counts(n, p_target, rng)
-    inner = truncate(d_out, d, counts)
-    return CouplingOutcome(
-        d_out=d_out,
-        counts=tuple(counts.tolist()),
-        inner=inner,
-        success=inner is not None,
-    )
+    if not 1 <= d <= n - 1:
+        raise ValueError(f"need 1 <= d <= n-1, got d={d}, n={n}")
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.PCG64):
+        raise ValueError(f"couple needs a PCG64 generator, got {type(bits).__name__}")
+    state = bits.state
+    bits.advance(n * (n - 1))
+    if state["has_uint32"]:
+        # advance drops a buffered 32-bit half word, which drawing keys keeps
+        bits.state = {**bits.state, "has_uint32": 1, "uinteger": state["uinteger"]}
+    counts = tuple(truncation_counts(n, p_target, rng).tolist())
+    return CouplingOutcome(n=n, d=d, counts=counts, success=max(counts) <= d, d_out_state=state)

@@ -66,12 +66,14 @@ def _frozen_rows(rows, n: int, kappa: int, undirected: bool) -> np.ndarray:
     if np.count_nonzero(outside) or np.count_nonzero(loops):
         row = a[np.argmax(outside.any(axis=1) | loops)].tolist()
         raise ValueError(f"bad {kind} {tuple(row)} for n={n}, kappa={kappa}")
-    keys = u * n + v
-    keys.sort()
-    repeats = keys[1:] == keys[:-1]
+    # sorting the pairs themselves, not a key u * n + v that wraps in
+    # int64 once n * n passes 2**63
+    order = np.lexsort((v, u))
+    u, v = u[order], v[order]
+    repeats = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
     if np.count_nonzero(repeats):
-        key = keys[np.argmax(repeats)]
-        raise ValueError(f"duplicate {kind} ({key // n}, {key % n})")
+        i = np.argmax(repeats)
+        raise ValueError(f"duplicate {kind} ({u[i]}, {v[i]})")
     a.flags.writeable = False
     return a
 

@@ -172,7 +172,7 @@ def _lemma4_trial(config: ExperimentConfig, t: int) -> TrialRecord:
         mode="lemma4",
         success=out.success,
         k_max=out.k_max,
-        inner_arc_count=len(out.inner.arcs) if out.inner is not None else None,
+        inner_arc_count=sum(out.counts) if out.success else None,
     )
 
 
@@ -236,12 +236,15 @@ def run_trials(config: ExperimentConfig) -> list[TrialRecord]:
 
     Records come back ordered by trial index whatever the parallelism:
     pool.map, like the serial loop, yields them in the order of the work.
+    The pool gets about 16 chunks of trials per worker, so a cheap trial
+    does not pay a round trip of its own.
     """
     _check_target(config)
     work = [(config, t) for t in range(config.trials)]
     if config.jobs > 1 and config.trials > 1:
+        chunksize = -(-config.trials // (16 * config.jobs))
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            return list(pool.map(_run_one, work))
+            return list(pool.map(_run_one, work, chunksize=chunksize))
     return [_run_one(w) for w in work]
 
 

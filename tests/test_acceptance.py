@@ -22,7 +22,7 @@ from rainbowgraphs.flow import (
     max_flow,
 )
 from rainbowgraphs.graphs import sample_coloured_digraph, split_probability
-from rainbowgraphs.harness import ExperimentConfig, run_trials
+from rainbowgraphs.harness import ExperimentConfig, run_trials, wilson_interval
 from rainbowgraphs.rng import substream
 from rainbowgraphs.search import find_rainbow_copy_exact, find_rainbow_spanning_tree
 from rainbowgraphs.graphs import sample_coloured_graph
@@ -176,6 +176,21 @@ def test_coupling_containment_and_distribution():
         f"chi-square p={chi.pvalue:.3f} over {len(counts)} samples",
     )
 
+
+def test_lemma4_success_rate_matches_exact_law():
+    """At the benchmark's lemma4 config (n=1000, d=55, p=0.06), the 95%
+    Wilson interval of 2000 harness trials contains the exact success
+    probability P(Bin(999, p1) <= 55)^1000 = 0.98519."""
+    n, d, p = 1000, 55, 0.06
+    law = stats.binom.cdf(d, n - 1, split_probability(p).p1) ** n
+    config = ExperimentConfig(n=n, p=p, kappa=3000, eps=0.5, d=d, trials=2000, seed=1, mode="lemma4")
+    successes = sum(r.success for r in run_trials(config))
+    lo, hi = wilson_interval(successes, config.trials)
+    report(
+        "lemma4 success rate at the exact law",
+        lo <= law <= hi,
+        f"{successes}/2000 succeeded, interval [{lo:.5f}, {hi:.5f}], law {law:.5f}",
+    )
 
 def test_density_gamma_oracle_equivalence():
     """Subset enumeration agrees exactly with the closed-form density

@@ -7,6 +7,7 @@ from scipy.stats import binom, chisquare
 
 from rainbowgraphs.coupling import couple, truncate, truncation_counts
 from rainbowgraphs.graphs import ColouredDigraph, sample_coloured_digraph, sample_d_out, split_probability
+from rainbowgraphs.harness import ExperimentConfig, run_trials
 from rainbowgraphs.rng import substream
 
 
@@ -91,6 +92,43 @@ class TestCouple:
             couple(10, 10, 0.5, 0.5, substream(0))
 
 
+class TestLazyOutcome:
+    @pytest.mark.parametrize("n, d, p_target", [(6, 3, 0.3), (6, 2, 0.9), (1000, 55, 0.06), (1000, 2, 0.06)])
+    def test_matches_eager_draw(self, n, d, p_target):
+        for t in range(3):
+            rng, ref = substream(60, n, d, t), substream(60, n, d, t)
+            if t == 1:
+                # a buffered 32-bit half word must survive the skipped keys
+                rng.integers(10, dtype=np.int32), ref.integers(10, dtype=np.int32)
+            out = couple(n, d, p_target, 0.5, rng)
+            # the eager reference: the d-out, then the counts, then the cut
+            d_out = sample_d_out(n, d, ref)
+            counts = truncation_counts(n, p_target, ref)
+            inner = truncate(d_out, d, counts)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            # the caller's generator moves on before the lazy fields are read
+            assert rng.random(5).tolist() == ref.random(5).tolist()
+            assert out.counts == tuple(counts.tolist()) and out.success == (inner is not None)
+            assert out.d_out == d_out
+            assert out.inner == inner if inner is not None else out.inner is None
+            assert out.d_out is out.d_out
+
+    def test_rejects_other_bit_generators(self):
+        with pytest.raises(ValueError, match="PCG64"):
+            couple(10, 3, 0.3, 0.5, np.random.Generator(np.random.MT19937(0)))
+
+    def test_record_arc_count_is_sum_of_counts(self):
+        config = ExperimentConfig(n=40, p=0.3, kappa=1, eps=0.5, d=9, trials=120, seed=8, mode="lemma4")
+        records = run_trials(config)
+        assert 0 < sum(r.success for r in records) < len(records)
+        for rec in records:
+            out = couple(config.n, config.d, config.p, config.eps, substream(config.seed, rec.trial, "lemma4"))
+            if rec.success:
+                assert rec.inner_arc_count == sum(out.counts) == len(out.inner.arcs)
+            else:
+                assert rec.inner_arc_count is None and out.inner is None
+
+
 def test_truncate_matches_loop():
     # rows in a random order, so the routine must group them by tail itself
     n, d, p = 12, 4, 0.3
@@ -130,3 +168,11 @@ def test_truncate_rejects_counts_not_one_per_vertex():
     for counts in (np.array([1]), np.array([1, 1]), np.ones(4, np.int64), np.ones((3, 1), np.int64)):
         with pytest.raises(ValueError, match="counts of shape"):
             truncate(dgr, 2, counts)
+
+
+@pytest.mark.parametrize("counts", [np.array([-1, 1, 1]), np.array([0.5, 1, 1]), np.array([1.0, 1.0, 1.0]), np.array([True, True, False])])
+def test_truncate_rejects_counts_that_are_not_counts(counts):
+    # a negative count kept no arcs and 0.5 kept one, silently
+    dgr = ColouredDigraph(3, 2, ((0, 1, 1), (0, 2, 2), (1, 0, 1), (2, 0, 2)))
+    with pytest.raises(ValueError, match="counts"):
+        truncate(dgr, 2, counts)

@@ -68,24 +68,22 @@ def loop_graph_rows(n, p, kappa, rng):
 
 
 def frozen_rows_reference(rows, n, kappa, undirected):
-    """`_frozen_rows` written plainly: np.array converts the rows and every
-    key is sorted."""
+    """`_frozen_rows` written plainly: np.array converts the rows and the
+    (u, v) pairs are sorted as Python tuples."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     a = np.array(rows, dtype=np.int64).reshape(len(rows), 3)
     u, v = a[:, 0], a[:, 1]
     outside = a.view(np.uint64) >= np.array([n, n, kappa + 1], dtype=np.uint64)
     loops = u >= v if undirected else u == v
-    keys = u * n + v
-    keys.sort()
-    repeats = keys[1:] == keys[:-1]
+    pairs = sorted(zip(u.tolist(), v.tolist()))
+    repeats = [pair for pair, after in zip(pairs, pairs[1:]) if pair == after]
     kind = "edge" if undirected else "arc"
     if np.count_nonzero(outside) or np.count_nonzero(loops):
         row = a[np.argmax(outside.any(axis=1) | loops)].tolist()
         raise ValueError(f"bad {kind} {tuple(row)} for n={n}, kappa={kappa}")
-    if np.count_nonzero(repeats):
-        key = keys[np.argmax(repeats)]
-        raise ValueError(f"duplicate {kind} ({key // n}, {key % n})")
+    if repeats:
+        raise ValueError(f"duplicate {kind} {repeats[0]}")
     a.flags.writeable = False
     return a
 
@@ -309,6 +307,13 @@ class TestValidation:
     def test_rejects_duplicate_arc(self):
         with pytest.raises(ValueError):
             ColouredDigraph(n=3, kappa=1, arcs=((0, 1, 1), (0, 1, 1)))
+
+    def test_pairs_past_int64_keys_are_distinct(self):
+        # u * n + v wraps in int64 here, and (2**31, 1) keyed as (0, 1)
+        g = ColouredDigraph(n=2**33, kappa=1, arcs=[(0, 1, 1), (2**31, 1, 1)])
+        assert g.arcs.tolist() == [[0, 1, 1], [2**31, 1, 1]]
+        with pytest.raises(ValueError, match=r"duplicate edge \(2147483648, 4294967296\)"):
+            ColouredGraph(n=2**33, kappa=1, edges=[(2**31, 2**32, 1), (0, 1, 1), (2**31, 2**32, 1)])
 
     def test_rejects_bad_colour(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,6 +58,19 @@ class TestRunTrials:
         serial = run_trials(cfg)
         parallel = run_trials(lemma4_config(trials=24, jobs=4))
         assert records_to_jsonl(serial) == records_to_jsonl(parallel)
+
+    @pytest.mark.parametrize("mode, fields", [
+        ("lemma3", dict(n=16, p=0.5, kappa=40, d=2)),
+        ("lemma4", dict(n=30, p=0.3, kappa=1, d=9)),
+        ("pipeline", dict(n=8, p=0.9, kappa=40, d=3, target_family="cycle", target_size=8)),
+    ])
+    def test_chunked_jobs_match_serial(self, mode, fields):
+        # 101 trials go to the pool in chunks of 4 at two jobs and 3 at three
+        config = ExperimentConfig(eps=1.0, trials=101, seed=9, mode=mode, **fields)
+        records = run_trials(config)
+        assert len({r.success for r in records}) == 2  # both outcomes occur
+        for jobs in (2, 3):
+            assert records_to_jsonl(run_trials(replace(config, jobs=jobs))) == records_to_jsonl(records)
 
     def test_pipeline_forced_success(self):
         # n=2, matching target, p close to 1, d=1: the single edge survives

@@ -13,13 +13,15 @@ sample's network, as a lemma3 trial does at d=2:
 `max_flow(build_network(sample, 2))`.  Set against the sample row of the
 same workload, it shows how a change splits between sampling and the
 network and solve.  The `lemma4_n1000 trial` row runs `coupling.couple`
-as a lemma4 trial does (d=55, eps=0.5), and the `pipeline_n12 trial`
-row runs one pipeline trial of the benchmark's config (eps=1.0, d=3, a
-12-cycle target) through `harness.run_trials`, seeded from the call's
-substream.  Every checkout runs each substream once, the checkouts
-taking turns call by call in alternating order, and the outputs (the
-sample's rows, the solve's owners, the coupling's truncated rows, the
-trial's JSON record) must be equal.  The table gives per checkout the
+(d=55, eps=0.5) and reads its truncated rows, or its d-out when it
+fails, so it times the d-out draw a lemma4 record does not need.  The
+`lemma4_n1000 record` row runs one lemma4 trial of the benchmark's
+config, and the `pipeline_n12 trial` row one pipeline trial of the
+benchmark's config (eps=1.0, d=3, a 12-cycle target), each through
+`harness.run_trials`, seeded from the call's substream.  Every checkout
+runs each substream once, the checkouts taking turns call by call in
+alternating order, and the outputs (the sample's rows, the solve's
+owners, the coupling's rows, the trial's JSON record) must be equal.  The table gives per checkout the
 median ms of a call.  With two or more checkouts, `slower` counts the
 calls slower in the last checkout than in the first (a tie counts for
 neither); a config is marked when that count reaches nine tenths of its
@@ -56,6 +58,13 @@ def couple(package, n: int, p: float, kappa: int | None, rng) -> np.ndarray:
     return out.inner.arcs if out.success else out.d_out.arcs
 
 
+def record(package, n: int, p: float, kappa: int | None, rng) -> str:
+    config = package.harness.ExperimentConfig(
+        n=n, p=p, kappa=1, eps=0.5, d=55, trials=1, seed=int(rng.integers(2**62)), mode="lemma4",
+    )
+    return package.harness.run_trials(config)[0].to_json()
+
+
 def pipeline(package, n: int, p: float, kappa: int, rng) -> str:
     config = package.harness.ExperimentConfig(
         n=n, p=p, kappa=kappa, eps=1.0, d=3, trials=1, seed=int(rng.integers(2**62)),
@@ -70,6 +79,7 @@ CONFIGS = (
     ("pipeline_n12", sample, 12, 0.9, 80, 2000),
     ("lemma3_n1000 trial", trial, 1000, 0.3, 3000, 40),
     ("lemma4_n1000 trial", couple, 1000, 0.06, None, 40),
+    ("lemma4_n1000 record", record, 1000, 0.06, None, 200),
     ("pipeline_n12 trial", pipeline, 12, 0.9, 80, 1000),
 )
 
