@@ -51,7 +51,6 @@ from .search import (
     find_rainbow_copy_exact,
     find_rainbow_spanning_tree,
     max_rainbow_forest,
-    verify_embedding,
 )
 from .targets import (
     DensityProfile,

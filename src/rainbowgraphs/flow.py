@@ -32,18 +32,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .graphs import ColouredDigraph, _trusted, relabel
 
 
 @dataclass(frozen=True, eq=False)
 class FlowNetwork:
-    """Layered colour/vertex network with integer capacities.
-
-    Node indexing: 0 = source, 1..kappa = colours, kappa+1..kappa+n =
-    vertices, kappa+n+1 = sink.  The "infinite" middle capacity is d*n,
-    which no feasible flow can exceed, so the substitution is exact.
+    """Layered colour/vertex network with integer capacities: 1 on each
+    source->colour arc, d*n on colour->vertex for each pair in
+    `middle_arcs`, d on each vertex->sink arc.  The "infinite" middle
+    capacity is d*n, which no feasible flow can exceed, so the
+    substitution is exact.
     """
 
     n: int
@@ -51,36 +50,13 @@ class FlowNetwork:
     d: int
     middle_arcs: np.ndarray  # (k, 2) rows (colour, vertex), sorted
 
-    @property
-    def num_nodes(self) -> int:
-        return self.kappa + self.n + 2
-
-    @property
-    def sink(self) -> int:
-        return self.kappa + self.n + 1
-
-    def vertex_node(self, v: int) -> int:
-        return self.kappa + 1 + v
-
-    def capacity_matrix(self) -> csr_matrix:
-        """The int32 CSR matrix whose rows `max_flow` scans, laid out as
-        scipy's max-flow takes it, built row by row: the source's arcs to
-        the colours, each colour's arcs to vertices (middle_arcs is sorted,
-        so column indices ascend in every row), then each vertex's arc to
-        the sink."""
-        colours, vertices = self.middle_arcs.T
-        n, kappa = self.n, self.kappa
-        # row sizes after indptr's leading 0; the sink's row is empty
-        row_sizes = np.concatenate(
-            [[0, kappa], np.bincount(colours, minlength=kappa + 1)[1:], np.ones(n, np.int64), [0]]
-        )
-        indptr = np.cumsum(row_sizes, dtype=np.int32)
-        indices = np.concatenate(
-            [np.arange(1, kappa + 1), self.vertex_node(vertices), np.full(n, self.sink)],
-            dtype=np.int32,
-        )
-        caps = np.repeat(np.array([1, self.d * n, self.d], np.int32), [kappa, len(colours), n])
-        return csr_matrix((caps, indices, indptr), shape=(self.num_nodes, self.num_nodes))
+    def capacity_matrix(self) -> np.ndarray:
+        """The rows of `middle_arcs` that `max_flow` scans, colour by
+        colour: an int64 array `ends` of length kappa+1 whose entry c is
+        the end of colour c's run of rows, so colour c's vertices are
+        middle_arcs[ends[c-1]:ends[c], 1], ascending (ends[0] = 0: colour
+        0 has no arcs)."""
+        return np.bincount(self.middle_arcs[:, 0], minlength=self.kappa + 1).cumsum()
 
 
 @dataclass(frozen=True)
@@ -142,7 +118,10 @@ class RainbowDOut:
 
 def check_network_size(n: int, kappa: int, d: int) -> None:
     """Raise ValueError unless the network of an n-vertex, kappa-colour
-    digraph fits the int32 capacities and node indices of its CSR matrix."""
+    digraph keeps d*n and kappa+n+1 within int32.  Within that bound
+    `build_network`'s int64 pair key colour*n + tail cannot wrap, and the
+    network fits scipy's int32 max-flow, the tests' oracle, whose node
+    numbers run from source 0 to sink kappa+n+1."""
     if max(d * n, kappa + n + 1) > np.iinfo(np.int32).max:
         raise ValueError(f"d*n = {d * n} or sink node {kappa + n + 1} exceeds int32")
 
@@ -176,39 +155,38 @@ def max_flow(net: FlowNetwork) -> tuple[int, np.ndarray]:
     fixes the whole flow: source->c and c->owner[c] carry 1, and v->sink
     carries the number of colours v owns.
 
-    Dinic's algorithm runs here, on `net.capacity_matrix()`, scanning
-    arcs in the order of scipy's Dinic solver, so on every network
-    `owner` is the flow that solver returns on the same matrix.  The
-    first phase sends each colour's unit, colours ascending, to the
-    smallest adjacent vertex that still has room; `_later_phases`
-    continues from its owners while a vertex is short.
+    Dinic's algorithm runs here, scanning arcs in the order of scipy's
+    Dinic solver, so on every network `owner` is the flow that solver
+    returns.  The first phase sends each colour's unit, colours
+    ascending, to the smallest adjacent vertex that still has room;
+    `_later_phases` continues from its owners while a vertex is short.
     """
     owner, room = _first_phase(net, net.capacity_matrix())
     return _later_phases(net, owner, np.array(room)), owner
 
 
-def _first_phase(net: FlowNetwork, caps: csr_matrix) -> tuple[np.ndarray, list[int]]:
+def _first_phase(net: FlowNetwork, ends: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """The owners and the list of each vertex's room (d minus the number
     of colours it owns) after Dinic's first phase: one blocking-flow path
-    source->c->v->sink per colour c, tried in CSR order, so c takes the
-    smallest adjacent vertex with room."""
-    kappa, d, base = net.kappa, net.d, net.vertex_node(0)
-    ptr, nodes = caps.indptr[1 : kappa + 2].tolist(), memoryview(caps.indices)
-    room = [d] * net.num_nodes  # indexed by vertex node
+    source->c->v->sink per colour c, in the order of `middle_arcs`, whose
+    runs end at `ends`, so c takes the smallest adjacent vertex with room."""
+    kappa, d = net.kappa, net.d
+    ptr, vertices = ends.tolist(), memoryview(np.ascontiguousarray(net.middle_arcs[:, 1]))
+    room = [d] * net.n
     owner = [-1] * (kappa + 1)
     left = d * net.n
     for c in range(1, kappa + 1):
-        for v in nodes[ptr[c - 1] : ptr[c]]:
+        for v in vertices[ptr[c - 1] : ptr[c]]:
             if room[v]:
                 break
         else:
             continue
         room[v] -= 1
-        owner[c] = v - base
+        owner[c] = v
         left -= 1
         if not left:
             break
-    return np.array(owner), room[base : base + net.n]
+    return np.array(owner), room
 
 
 def _levels(net: FlowNetwork, owner: np.ndarray, room: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -251,7 +229,7 @@ def _later_phases(net: FlowNetwork, owner: np.ndarray, room: np.ndarray) -> int:
 
     Each phase takes the layers of `_levels`, and a backward pass drops
     the nodes that cannot reach the sink inside that level graph.  A DFS
-    then scans the arcs left in the order of scipy's CSR rows (roots
+    then scans the arcs left in the order of scipy's solver (roots
     ascending, a colour's vertices ascending, a vertex's colours
     ascending and then the sink), and keeps each node's progress pointer
     for the whole phase; the arcs it no longer sees lead only to dead

@@ -354,9 +354,10 @@ def coalesce_orientation(
     colour is a uniform choice between the two arc colours."""
     t, h, c = d.arcs.T
     u, v = np.minimum(t, h), np.maximum(t, h)
-    # a stable sort on the pair keeps each pair's arcs in stored order
-    order = np.argsort(u * d.n + v, kind="stable")
-    pick = np.flatnonzero(np.diff((u * d.n + v)[order], prepend=-1))  # pairs' first arcs
+    # a stable sort on the pairs, not on a key u * n + v that wraps in int64,
+    # keeps each pair's arcs in stored order; pick holds each pair's first
+    order = np.lexsort((v, u))
+    pick = np.flatnonzero(np.diff(u[order], prepend=-1) | np.diff(v[order], prepend=-1))
     twins = np.diff(pick, append=len(order)) == 2
     # one uniform per pair with two arcs, in pair order: below 1/2 takes
     # the colour of the pair's second stored arc

@@ -37,40 +37,31 @@ class RainbowEmbedding:
     vertex_map: tuple[int, ...]
     edge_images: tuple[tuple[tuple[int, int], tuple[int, int, int]], ...]
 
-
-def verify_embedding(
-    g: ColouredGraph, h: TargetGraph, emb: RainbowEmbedding
-) -> bool:
-    """Audit the three embedding invariants: injectivity, edge presence,
-    pairwise-distinct colours."""
-    if len(emb.vertex_map) != h.n_H or len(set(emb.vertex_map)) != h.n_H:
-        return False
-    if not all(0 <= v < g.n for v in emb.vertex_map):
-        return False
-    lookup = {(u, v): c for u, v, c in g.edges.tolist()}
-    images = dict(emb.edge_images)
-    if set(images) != set(h.edges):
-        return False
-    colours = []
-    for a, b in h.edges:
-        u, v = emb.vertex_map[a], emb.vertex_map[b]
-        gu, gv, c = images[(a, b)]
-        if (gu, gv) != (min(u, v), max(u, v)):
-            return False
-        if lookup.get((gu, gv)) != c:
-            return False
-        colours.append(c)
-    return len(set(colours)) == len(colours)
+    def check(self, g: ColouredGraph, h: TargetGraph) -> None:
+        """Assert the three embedding invariants against the host g:
+        injectivity, edge presence, pairwise-distinct colours."""
+        vmap, images = self.vertex_map, dict(self.edge_images)
+        if len(vmap) != h.n_H or len(set(vmap)) != h.n_H or not all(0 <= v < g.n for v in vmap):
+            raise AssertionError(f"vertex map {vmap} is no injection of {h.n_H} vertices into {g.n}")
+        if set(images) != set(h.edges):
+            raise AssertionError("edge images are not keyed by the target's edges")
+        lookup = {(u, v): c for u, v, c in g.edges.tolist()}
+        for a, b in h.edges:
+            u, v = sorted((vmap[a], vmap[b]))
+            if (u, v) not in lookup or tuple(images[(a, b)]) != (u, v, lookup[(u, v)]):
+                raise AssertionError(f"image {images[(a, b)]} of {(a, b)} is not host edge ({u}, {v})")
+        colours = [images[e][2] for e in h.edges]
+        if len(set(colours)) != len(colours):
+            raise AssertionError("repeated edge colour")
 
 
 def _embedding_from_map(
-    g: ColouredGraph, h: TargetGraph, vmap: list[int]
+    h: TargetGraph, vmap: list[int], colour_of: dict[tuple[int, int], int]
 ) -> RainbowEmbedding:
-    lookup = {(u, v): c for u, v, c in g.edges.tolist()}
     images = []
     for a, b in h.edges:
         u, v = sorted((vmap[a], vmap[b]))
-        images.append(((a, b), (u, v, lookup[(u, v)])))
+        images.append(((a, b), (u, v, colour_of[(u, v)])))
     return RainbowEmbedding(vertex_map=tuple(vmap), edge_images=tuple(images))
 
 
@@ -147,7 +138,7 @@ def find_rainbow_copy_exact(
         return False
 
     if rec(0):
-        return _embedding_from_map(g, h, vmap)
+        return _embedding_from_map(h, vmap, colour_of)
     return None
 
 

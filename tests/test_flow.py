@@ -1,4 +1,5 @@
 import sys
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 from scipy.stats import chisquare
 
+import rainbowgraphs.flow
 from rainbowgraphs.flow import (
     HallWitness,
     RainbowDOut,
@@ -70,15 +72,17 @@ def check_hall_bruteforce(d_in, d):
 
 
 def coo_capacity_matrix(net):
-    """Reference: the capacity matrix assembled from (row, col) triples
-    with int64 capacities, which scipy's max-flow casts to int32."""
+    """Reference: the network as the CSR matrix scipy's max-flow takes,
+    assembled from (row, col) triples with int64 capacities, which scipy
+    casts to int32.  Node 0 is the source, node c colour c, node
+    kappa+1+v vertex v and node kappa+n+1 the sink."""
     colours, vertices = net.middle_arcs.T
-    n, d, m, k = net.n, net.d, net.num_nodes, len(colours)
-    colour_nodes, vertex_nodes = np.arange(1, net.kappa + 1), net.vertex_node(np.arange(n))
+    n, kappa, d, k = net.n, net.kappa, net.d, len(colours)
+    colour_nodes, vertex_nodes = np.arange(1, kappa + 1), kappa + 1 + np.arange(n)
     rows = np.concatenate([np.zeros_like(colour_nodes), colours, vertex_nodes])
-    cols = np.concatenate([colour_nodes, net.vertex_node(vertices), np.full(n, net.sink)])
+    cols = np.concatenate([colour_nodes, kappa + 1 + vertices, np.full(n, kappa + n + 1)])
     caps = np.concatenate([np.ones_like(colour_nodes), np.full(k, d * n), np.full(n, d)])
-    return csr_matrix((caps, (rows, cols)), shape=(m, m))
+    return csr_matrix((caps, (rows, cols)), shape=(kappa + n + 2, kappa + n + 2))
 
 
 def first_phase(net):
@@ -126,13 +130,12 @@ def scipy_max_flow_calls(monkeypatch):
 def owner_flow(net, owner):
     """The flow `owner` implies, one entry per arc: source->c and
     c->owner[c] carry 1 for every assigned colour c, v->sink the number
-    of colours v owns."""
-    colours = np.flatnonzero(owner >= 0)
-    vertex_nodes = net.vertex_node(np.arange(net.n))
-    rows = np.concatenate([np.zeros_like(colours), colours, vertex_nodes])
-    cols = np.concatenate([colours, net.vertex_node(owner[colours]), np.full(net.n, net.sink)])
-    units = np.concatenate([np.ones(2 * len(colours), int), np.bincount(owner[colours], minlength=net.n)])
-    return csr_matrix((units, (rows, cols)), shape=(net.num_nodes, net.num_nodes))
+    of colours v owns; nodes are numbered as in `coo_capacity_matrix`."""
+    colours, n, kappa = np.flatnonzero(owner >= 0), net.n, net.kappa
+    rows = np.concatenate([np.zeros_like(colours), colours, kappa + 1 + np.arange(n)])
+    cols = np.concatenate([colours, kappa + 1 + owner[colours], np.full(n, kappa + n + 1)])
+    units = np.concatenate([np.ones(2 * len(colours), int), np.bincount(owner[colours], minlength=n)])
+    return csr_matrix((units, (rows, cols)), shape=(kappa + n + 2, kappa + n + 2))
 
 
 def assert_flow_is_scipys(net, value, owner):
@@ -141,9 +144,9 @@ def assert_flow_is_scipys(net, value, owner):
     each arc's flow negated at its reverse entry)."""
     assert owner.shape == (net.kappa + 1,) and owner[0] == -1
     assert ((owner >= -1) & (owner < net.n)).all()
-    forward = owner_flow(net, owner)
-    assert ((net.capacity_matrix() - forward).data >= 0).all()
-    want = maximum_flow(coo_capacity_matrix(net), 0, net.sink)  # node 0 is the source
+    forward, caps = owner_flow(net, owner), coo_capacity_matrix(net)
+    assert ((caps - forward).data >= 0).all()
+    want = maximum_flow(caps, 0, net.kappa + net.n + 1)  # from the source to the sink
     assert value == want.flow_value == forward[0].sum()
     assert (forward - forward.T - want.flow).count_nonzero() == 0
 
@@ -151,14 +154,14 @@ def assert_flow_is_scipys(net, value, owner):
 def scipy_hall_witness(d_in, d):
     """Reference: the witness read off the residual of scipy's flow matrix."""
     net = build_network(d_in, d)
-    caps = coo_capacity_matrix(net)
-    res = maximum_flow(caps, 0, net.sink)
+    caps, vertex_0 = coo_capacity_matrix(net), net.kappa + 1  # vertex 0's node
+    res = maximum_flow(caps, 0, net.kappa + net.n + 1)
     if res.flow_value >= d * d_in.n:
         return None
     residual = (caps - res.flow) > 0
     reached = np.sort(breadth_first_order(residual, 0, return_predecessors=False))
-    split = np.searchsorted(reached, net.vertex_node(0))
-    neighbours = reached[split:] - net.vertex_node(0)
+    split = np.searchsorted(reached, vertex_0)
+    neighbours = reached[split:] - vertex_0
     return HallWitness(
         tuple(reached[1:split].tolist()), tuple(neighbours.tolist()), d * d_in.n - res.flow_value
     )
@@ -174,17 +177,33 @@ def random_instance(seed, n, kappa, p1):
     return sample_coloured_digraph(n, p1, kappa, substream(seed, "inst"))
 
 
+def test_package_import_loads_no_scipy_sparse(run_python):
+    # the package solves its flows itself; only the tests' oracle
+    # networks are scipy.sparse matrices
+    code = "import sys, rainbowgraphs; print([m for m in sys.modules if m.startswith('scipy.sparse')])"
+    res = run_python("-c", code)
+    assert (res.returncode, res.stdout, res.stderr) == (0, "[]\n", "")
+
+
+def test_flow_holds_nothing_from_scipy():
+    for name, value in vars(rainbowgraphs.flow).items():
+        origin = value.__name__ if isinstance(value, ModuleType) else getattr(value, "__module__", None)
+        assert not (origin or "").startswith("scipy"), name
+
+
 class TestBuildNetwork:
     def test_single_arc(self):
         d_in = ColouredDigraph(n=2, kappa=3, arcs=((0, 1, 3),))
         net = build_network(d_in, 1)
-        assert net.num_nodes == 3 + 2 + 2
+        assert (net.n, net.kappa, net.d) == (2, 3, 1)
         assert net.middle_arcs.tolist() == [[3, 0]]
-        caps = net.capacity_matrix()
+        assert net.capacity_matrix().tolist() == [0, 0, 0, 1]  # colour 3's run is row 0
+        caps = coo_capacity_matrix(net)  # nodes: source, colours 1-3, vertices 0-1, sink
+        assert caps.shape == (3 + 2 + 2, 3 + 2 + 2) and caps.nnz == 3 + 1 + 2
         assert caps[0, 1] == 1  # source -> colour 1
-        assert caps[3, net.vertex_node(0)] == 2  # colour 3 -> vertex 0: the d*n surrogate
-        assert caps[net.vertex_node(0), net.sink] == 1
-        assert caps[net.vertex_node(1), net.sink] == 1
+        assert caps[3, 4] == 2  # colour 3 -> vertex 0: the d*n surrogate
+        assert caps[4, 6] == 1
+        assert caps[5, 6] == 1
 
     def test_empty_digraph(self):
         net = build_network(ColouredDigraph(n=3, kappa=2, arcs=()), 1)
@@ -218,9 +237,9 @@ class TestBuildNetwork:
                 assert net.middle_arcs.dtype == np.int64 and not net.middle_arcs.flags.writeable
 
     def test_rejects_sizes_beyond_int32(self):
-        # the CSR is int32, as scipy's max-flow takes it: d*n = 2**31
-        # would wrap to a negative capacity, and so would a sink node
-        # past 2**31 - 1
+        # scipy's max-flow, the tests' oracle, takes int32 capacities and
+        # node numbers: d*n = 2**31 would wrap to a negative capacity, and
+        # so would a sink node past 2**31 - 1
         one_arc = ColouredDigraph(n=2**30, kappa=1, arcs=((0, 1, 1),))
         with pytest.raises(ValueError, match="exceeds int32"):
             build_network(one_arc, 2)
@@ -239,24 +258,19 @@ class TestBuildNetwork:
 
 
 class TestCapacityMatrix:
-    @staticmethod
-    def assert_same_csr(a, b):
-        assert a.shape == b.shape
-        for field in ("indptr", "indices", "data"):
-            assert getattr(a, field).tolist() == getattr(b, field).tolist(), field
-
     def assert_matches_reference(self, net, scipy_calls):
-        """Checks the CSR against the reference, then the flow against
-        scipy's; `max_flow` itself never calls scipy's solver.  Returns
-        "rejected" (by the precheck), "saturated" (by the first phase) or
-        "short" (after it)."""
-        caps = net.capacity_matrix()
-        assert caps.dtype == np.int32
-        assert caps.indices.dtype == caps.indptr.dtype == np.int32
-        self.assert_same_csr(caps, coo_capacity_matrix(net))
-        # column indices ascend within every row, as scipy's solver needs
-        rows = np.repeat(np.arange(net.num_nodes), np.diff(caps.indptr))
-        assert (np.diff(caps.indices)[np.diff(rows) == 0] > 0).all()
+        """Checks the colour runs against the reference CSR's colour rows,
+        then the flow against scipy's; `max_flow` itself never calls
+        scipy's solver.  Returns "rejected" (by the precheck), "saturated"
+        (by the first phase) or "short" (after it)."""
+        ends, coo, kappa = net.capacity_matrix(), coo_capacity_matrix(net), net.kappa
+        assert ends.dtype == np.int64
+        assert ends.tolist() == (coo.indptr[1 : kappa + 2] - kappa).tolist()
+        # the runs hold the colour rows' vertices, ascending within every
+        # run, in the order scipy's solver scans them
+        colours, vertices = net.middle_arcs.T
+        assert (vertices + kappa + 1).tolist() == coo.indices[kappa : coo.indptr[kappa + 1]].tolist()
+        assert (np.diff(vertices)[np.diff(colours) == 0] > 0).all()
         value, owner = max_flow(net)
         assert not scipy_calls
         rejected = precheck_rejects(net)
@@ -275,10 +289,12 @@ class TestCapacityMatrix:
         assert self.assert_matches_reference(net, scipy_calls) == "rejected"
 
     def test_colours_without_arcs(self, scipy_calls):
-        # colours 1, 3 and 6 carry no arc: their rows are empty
+        # colours 1, 3 and 6 carry no arc: their runs are empty
         d_in = ColouredDigraph(n=3, kappa=6, arcs=((0, 1, 2), (1, 2, 4), (2, 0, 5), (2, 1, 2)))
         net = build_network(d_in, 2)
-        assert np.diff(net.capacity_matrix().indptr)[[1, 3, 6]].tolist() == [0, 0, 0]
+        runs = np.diff(net.capacity_matrix(), prepend=0)  # run c is colour c's rows
+        assert runs[[1, 3, 6]].tolist() == [0, 0, 0]
+        assert runs.tolist() == [0, 0, 2, 0, 1, 1, 0]
         self.assert_matches_reference(net, scipy_calls)
 
     def test_random_instances(self, scipy_calls):
@@ -340,18 +356,18 @@ class TestMaxFlow:
         for seed in range(30):
             d_in = random_instance(seed, 6, 8, 0.5)
             net = build_network(d_in, 1)
-            caps = net.capacity_matrix()
+            caps, sink = coo_capacity_matrix(net), net.kappa + net.n + 1
             value, owner = max_flow(net)
-            inflow = {v: 0 for v in range(net.num_nodes)}
-            outflow = {v: 0 for v in range(net.num_nodes)}
+            inflow = {v: 0 for v in range(sink + 1)}
+            outflow = {v: 0 for v in range(sink + 1)}
             coo = owner_flow(net, owner).tocoo()
             for i, j, f in zip(coo.row, coo.col, coo.data):
                 assert 0 <= f <= caps[i, j]
                 outflow[i] += f
                 inflow[j] += f
-            for v in range(1, net.sink):  # every node but the source 0 and the sink
+            for v in range(1, sink):  # every node but the source 0 and the sink
                 assert inflow[v] == outflow[v]
-            assert outflow[0] == value == inflow[net.sink]
+            assert outflow[0] == value == inflow[sink]
             assert_flow_is_scipys(net, value, owner)
 
     def test_monotone_under_arc_addition(self):

@@ -230,6 +230,16 @@ class TestCoalesceOrientation:
         se = math.sqrt(0.25 / 10000)
         assert abs(hits / 10000 - 0.5) < 3 * se
 
+    def test_pairs_past_int64_keys_are_distinct(self):
+        # u * n + v wraps in int64 here, and (2**31, 2**31 + 5) keyed as
+        # (0, 2**31 + 5): two edges, and no uniform drawn for a pair
+        d = ColouredDigraph(n=2**33, kappa=2, arcs=[(0, 2**31 + 5, 1), (2**31, 2**31 + 5, 2)])
+        rng = substream(0)
+        state = rng.bit_generator.state
+        g = coalesce_orientation(d, rng)
+        assert g.edges.tolist() == [[0, 2**31 + 5, 1], [2**31, 2**31 + 5, 2]]
+        assert rng.bit_generator.state == state
+
     def test_support_preserved(self):
         d = sample_coloured_digraph(20, 0.3, 5, substream(4))
         g = coalesce_orientation(d, substream(5))

@@ -9,7 +9,6 @@ from rainbowgraphs.search import (
     find_rainbow_copy_exact,
     find_rainbow_spanning_tree,
     max_rainbow_forest,
-    verify_embedding,
 )
 from rainbowgraphs.targets import (
     TargetGraph,
@@ -137,7 +136,7 @@ def rainbow_tree_oracle(g):
 
 def tree_target_from_embedding(g, emb):
     """The spanning tree found by `find_rainbow_spanning_tree`, as a target
-    graph, so the embedding can be audited with `verify_embedding`."""
+    graph, so the embedding can be audited with `RainbowEmbedding.check`."""
     return TargetGraph(
         name=f"tree{g.n}",
         n_H=g.n,
@@ -229,7 +228,7 @@ class TestFindRainbowCopyExact:
         h = make_matching(4)
         emb = find_rainbow_copy_exact(g, h)
         assert emb is not None
-        assert verify_embedding(g, h, emb)
+        emb.check(g, h)
 
     def test_monochromatic_host_fails(self):
         g = ColouredGraph(
@@ -261,7 +260,7 @@ class TestFindRainbowCopyExact:
             emb = find_rainbow_copy_exact(g, h)
             assert (emb is not None) == rainbow_copy_oracle(g, h)
             if emb is not None:
-                assert verify_embedding(g, h, emb)
+                emb.check(g, h)
             checked += 1
         assert checked == 300
 
@@ -296,7 +295,7 @@ class TestFindRainbowCopyExact:
             emb = find_rainbow_copy_exact(g, h)
             assert emb == unpruned_rainbow_copy(g, h)
             if emb is not None:
-                assert verify_embedding(g, h, emb)
+                emb.check(g, h)
             found[emb is not None] += 1
         assert found[True] > 80 and found[False] > 80
 
@@ -349,7 +348,7 @@ class TestFindRainbowSpanningTree:
         )
         emb = find_rainbow_spanning_tree(g)
         assert emb is not None
-        assert verify_embedding(g, tree_target_from_embedding(g, emb), emb)
+        emb.check(g, tree_target_from_embedding(g, emb))
 
     def test_monochromatic_triangle_fails(self):
         g = ColouredGraph(
@@ -367,7 +366,7 @@ class TestFindRainbowSpanningTree:
         )
         emb = find_rainbow_spanning_tree(g)
         assert emb is not None
-        assert verify_embedding(g, tree_target_from_embedding(g, emb), emb)
+        emb.check(g, tree_target_from_embedding(g, emb))
 
     def test_matches_enumeration_oracle(self):
         rng = substream(34)
@@ -381,7 +380,7 @@ class TestFindRainbowSpanningTree:
             want = rainbow_tree_oracle(g)
             assert (emb is not None) == want
             if emb is not None:
-                assert verify_embedding(g, tree_target_from_embedding(g, emb), emb)
+                emb.check(g, tree_target_from_embedding(g, emb))
             verdicts[want] += 1
         assert verdicts[True] > 20 and verdicts[False] > 20
 
@@ -434,7 +433,40 @@ class TestVerifyEmbedding:
             vertex_map=emb.vertex_map,
             edge_images=((e0, img0), (e1, (img1[0], img1[1], img0[2]))),
         )
-        assert not verify_embedding(g, h, forged)
+        with pytest.raises(AssertionError):
+            forged.check(g, h)
+
+    def test_detects_each_broken_field(self):
+        g = rainbow_k4()
+        h = make_matching(4)
+        emb = find_rainbow_copy_exact(g, h)
+        emb.check(g, h)
+        vm, images = emb.vertex_map, emb.edge_images
+        (e0, img0), (e1, img1) = images
+        broken = {
+            "no injection": [
+                RainbowEmbedding((vm[0], vm[0], *vm[2:]), images),
+                RainbowEmbedding((*vm[:3], 4), images),
+                RainbowEmbedding(vm[:3], images),
+            ],
+            "not keyed by the target's edges": [
+                RainbowEmbedding(vm, images[:1]),
+                RainbowEmbedding(vm, ((e0, img0), ((1, 0), img1))),
+            ],
+            "is not host edge": [
+                RainbowEmbedding(vm, ((e0, img0), (e1, (*img1[:2], img1[2] % 6 + 1)))),
+                RainbowEmbedding(vm, ((e0, img0), (e1, img0))),
+            ],
+        }
+        for message, embeddings in broken.items():
+            for bad in embeddings:
+                with pytest.raises(AssertionError, match=message):
+                    bad.check(g, h)
+        # a host with both matching edges in colour 1
+        mono = ColouredGraph(n=4, kappa=6, edges=((0, 1, 1), (2, 3, 1)))
+        copy = RainbowEmbedding((0, 1, 2, 3), (((0, 1), (0, 1, 1)), ((2, 3), (2, 3, 1))))
+        with pytest.raises(AssertionError, match="^repeated edge colour$"):
+            copy.check(mono, h)
 
     def test_detects_vertex_swap(self):
         rng = substream(35)
@@ -462,6 +494,10 @@ class TestVerifyEmbedding:
                     ok = False
                     break
                 used.add(img[2])
-            assert verify_embedding(g, h, mutated) == ok
+            if ok:
+                mutated.check(g, h)
+            else:
+                with pytest.raises(AssertionError):
+                    mutated.check(g, h)
             flips += ok != (emb is not None)
         assert flips > 0  # the swap usually breaks the embedding
