@@ -3,6 +3,11 @@
 Everything here is a pure function of its parameters.  Logs are natural.
 Binomial coefficients go through log-gamma so the calculators stay finite
 for n up to ~1e9 and colour budgets up to ~1e10.
+
+theta sums d*n - 1 terms L(s) by log-sum-exp, but usually only its top term
+L(kappa-1) counts: when a bound shows every other term lies far enough
+below it that exp underflows to an exact 0.0, the sum is that term, to the
+bit, and theta evaluates it alone.
 """
 
 from __future__ import annotations
@@ -14,6 +19,9 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 _CHUNK = 1 << 20
+# exp(x) rounds to 0.0 in binary64 for x < -1075 log 2 = -745.133, and a
+# chunk's log-sum-exp exceeds its largest term by at most log(_CHUNK)
+_NEGLIGIBLE = 746.0 + math.log(_CHUNK)
 
 
 @dataclass(frozen=True)
@@ -124,17 +132,76 @@ def log_L(n: int, d: int, kappa: int, eps: float, p1: float, s: int) -> float:
     return float(_log_l_array(n, d, kappa, eps, p1, np.array([float(s)]))[0])
 
 
+def _log_binom(a: int, b: int) -> float:
+    return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
+
+
+def _others_negligible(n: int, d: int, kappa: int, eps: float, p1: float) -> bool:
+    """Whether every L(s) with s < kappa-1 provably lies more than
+    _NEGLIGIBLE nats, plus a rounding margin, below L(kappa-1).
+
+    In r = kappa - s, L is log 2 + log C(kappa, r) + log C(n, ceil(r/d))
+    + f(r) with f(r) = c r log(r/kappa), c = (1-eps) n p1 / d >= 0.  On each
+    dyadic range of r in [2, d*n-1] both binomials are unimodal, so each is
+    at most its value at its peak (kappa/2, n/2) clamped to the range, and
+    f is convex, so it is at most its larger endpoint.
+
+    The margin covers rounding.  A term at r is a sum of six log-gammas,
+    each at most gammaln(kappa+1) or gammaln(n+1), and of f(r), whose
+    factors c r and log r - log(kappa) are at most c r and log(kappa) in
+    size.  float64 evaluates each part, here and in _log_l_array, to within
+    a few ulps of that size, so 8 nats plus 1e-9 times the sum of the sizes
+    at the range's top end covers both the range's terms and L(kappa-1).
+    """
+    c = (1.0 - eps) * n * p1 / d
+    log_kappa = math.log(kappa)
+    size = math.lgamma(kappa + 1) + math.lgamma(n + 1)
+
+    def f(r: int) -> float:
+        return c * r * (math.log(r) - log_kappa)
+
+    top = math.log(2.0) + log_kappa + math.log(n) + f(1)
+    r1, r_max = 2, d * n - 1
+    while r1 <= r_max:
+        r2 = min(2 * r1 - 1, r_max)
+        k1, k2 = -(-r1 // d), -(-r2 // d)
+        bound = (
+            math.log(2.0)
+            + _log_binom(kappa, min(max(kappa // 2, r1), r2))
+            + _log_binom(n, min(max(n // 2, k1), k2))
+            + max(f(r1), f(r2))
+        )
+        margin = 8.0 + 1e-9 * (size + c * r2 * log_kappa)
+        if bound > top - _NEGLIGIBLE - margin:
+            return False
+        r1 *= 2
+    return True
+
+
 def theta(n: int, d: int, kappa: int, eps: float, p1: float) -> BoundReport:
     """Total failure bound: the out-degree tail term plus the sum of L(s)
-    over s = kappa-d*n+1 .. kappa-1, accumulated by log-sum-exp."""
+    over s = kappa-d*n+1 .. kappa-1, accumulated by log-sum-exp.
+
+    The terms go to logsumexp in chunks, one piece per chunk, and the pieces
+    to a last logsumexp.  When _others_negligible shows that every other
+    term lies more than 746 + log(_CHUNK) nats below L(kappa-1), the L-sum's
+    piece is L(kappa-1) alone, with the same bits as the full sum: logsumexp
+    shifts by its largest entry, so in the chunk holding L(kappa-1) every
+    other exp(a - a_max) is 0.0 and the piece is a_max, and every other
+    chunk's piece, at most its largest term plus log(_CHUNK), adds an exact
+    0.0 to the last logsumexp.
+    """
     if kappa < d * n:
         raise ValueError(f"need kappa >= d*n, got kappa={kappa}, d*n={d * n}")
     chern = chernoff_bound(n, p1, eps)
     lo, hi = kappa - d * n + 1, kappa - 1
     pieces = [math.log(chern)] if chern > 0 else []
-    for start in range(lo, hi + 1, _CHUNK):
-        s = np.arange(start, min(start + _CHUNK, hi + 1), dtype=np.float64)
-        pieces.append(float(logsumexp(_log_l_array(n, d, kappa, eps, p1, s))))
+    if lo <= hi and _others_negligible(n, d, kappa, eps, p1):
+        pieces.append(log_L(n, d, kappa, eps, p1, hi))
+    else:
+        for start in range(lo, hi + 1, _CHUNK):
+            s = np.arange(start, min(start + _CHUNK, hi + 1), dtype=np.float64)
+            pieces.append(float(logsumexp(_log_l_array(n, d, kappa, eps, p1, s))))
     log_theta = float(logsumexp(pieces)) if pieces else -math.inf
     raw = math.exp(log_theta) if log_theta < 700 else math.inf
     return BoundReport(

@@ -231,21 +231,24 @@ def _run_one(args: tuple[ExperimentConfig, int]) -> TrialRecord:
     return _TRIAL_FN[config.mode](config, t)
 
 
-def run_trials(config: ExperimentConfig) -> list[TrialRecord]:
-    """Run config.trials independent trials of the configured mode.
-
-    Records come back ordered by trial index whatever the parallelism:
-    pool.map, like the serial loop, yields them in the order of the work.
-    The pool gets about 16 chunks of trials per worker, so a cheap trial
-    does not pay a round trip of its own.
-    """
-    _check_target(config)
-    work = [(config, t) for t in range(config.trials)]
-    if config.jobs > 1 and config.trials > 1:
-        chunksize = -(-config.trials // (16 * config.jobs))
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+def _run_work(work: list[tuple[ExperimentConfig, int]], jobs: int) -> list[TrialRecord]:
+    """The records of the (config, trial index) pairs, in the order of the
+    work whatever the parallelism: pool.map, like the serial loop, yields
+    them in that order.  More than one job runs one process pool, which
+    gets about 16 chunks of trials per worker, so a cheap trial does not
+    pay a round trip of its own."""
+    if jobs > 1 and len(work) > 1:
+        chunksize = -(-len(work) // (16 * jobs))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_run_one, work, chunksize=chunksize))
     return [_run_one(w) for w in work]
+
+
+def run_trials(config: ExperimentConfig) -> list[TrialRecord]:
+    """Run config.trials independent trials of the configured mode, with
+    records ordered by trial index."""
+    _check_target(config)
+    return _run_work([(config, t) for t in range(config.trials)], config.jobs)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -292,7 +295,8 @@ class SweepResult:
 def run_sweep(config: ExperimentConfig, axis: str, values: Sequence[float]) -> SweepResult:
     """Run the config's mode with `axis` set to each of `values` in turn;
     each point reuses the same master seed with its own substreams via
-    the changed parameter."""
+    the changed parameter.  Every point's trials go to one shared run, so
+    a sweep starts at most one process pool."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
     # every point's config is validated before the first point runs
@@ -301,13 +305,13 @@ def run_sweep(config: ExperimentConfig, axis: str, values: Sequence[float]) -> S
         raise ValueError(f"axis {axis} is not used by mode {config.mode}")
     for point_config in points:
         _check_target(point_config)
-    records: list[TrialRecord] = []
+    trials = config.trials  # the same at every point: trials is no sweep axis
+    records = _run_work([(c, t) for c in points for t in range(trials)], config.jobs)
     summary: list[SweepPoint] = []
-    for value, point_config in zip(values, points):
-        recs = run_trials(point_config)
+    for i, value in enumerate(values):
+        recs = records[i * trials:(i + 1) * trials]
         successes = sum(r.success for r in recs)
         lo, hi = wilson_interval(successes, len(recs))
-        records.extend(recs)
         summary.append(
             SweepPoint(
                 point=float(value),

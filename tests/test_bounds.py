@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from rainbowgraphs import bounds
 from rainbowgraphs.bounds import (
     chernoff_bound,
     log_L,
@@ -11,6 +14,7 @@ from rainbowgraphs.bounds import (
     theorem1_threshold,
     theta,
 )
+from rainbowgraphs.graphs import split_probability
 
 mpmath.mp.dps = 60
 
@@ -214,6 +218,86 @@ class TestTheta:
     def test_rejects_small_kappa(self):
         with pytest.raises(ValueError):
             theta(10, 2, 19, 0.5, 0.3)
+
+
+def _theta_configs(count, seed, n_max):
+    """Seeded (n, d, kappa, eps, p1) with n log-uniform in [10, n_max],
+    kappa in [d*n, 4n] and p1 log-uniform in [0.01, 1]."""
+    rng = np.random.default_rng(seed)
+    configs = []
+    for _ in range(count):
+        n = int(round(10 ** rng.uniform(1, math.log10(n_max))))
+        d = int(rng.integers(1, 4))
+        kappa = int(rng.integers(d * n, 4 * n + 1))
+        eps = float(rng.uniform(0.05, 1.0))
+        p1 = float(10 ** rng.uniform(-2, 0))
+        configs.append((n, d, kappa, eps, p1))
+    return configs
+
+
+@pytest.fixture
+def l_calls(monkeypatch):
+    """The length of each array theta passes to _log_l_array."""
+    calls = []
+    real = bounds._log_l_array
+
+    def spy(n, d, kappa, eps, p1, s):
+        calls.append(len(s))
+        return real(n, d, kappa, eps, p1, s)
+
+    monkeypatch.setattr(bounds, "_log_l_array", spy)
+    return calls
+
+
+class TestThetaShortCut:
+    """theta takes L(kappa-1) alone when _others_negligible shows the rest
+    cannot count; every field must equal the full evaluation's, bit for bit."""
+
+    PINNED = [
+        # log_theta from the full evaluation, before the short cut existed
+        ((10**6, 2, 3_000_000, 0.5), "-608988.684728537"),
+        ((10**6, 2, 3_000_013, 0.5), "-608988.8616754552"),
+        ((10**7, 2, 3 * 10**7, 0.5), "-7030407.517121997"),
+    ]
+
+    @pytest.mark.parametrize("args, want", PINNED)
+    def test_pinned_log_theta(self, args, want):
+        assert repr(theta(*args, split_probability(0.3).p1).log_theta) == want
+
+    def test_matches_full_evaluation_on_seeded_configs(self, monkeypatch):
+        configs = _theta_configs(400, seed=28, n_max=10**4)
+        short = [bounds._others_negligible(*c) for c in configs]
+        fast = [dataclasses.astuple(theta(*c)) for c in configs]
+        monkeypatch.setattr(bounds, "_others_negligible", lambda *args: False)
+        full = [dataclasses.astuple(theta(*c)) for c in configs]
+        for config, got, want in zip(configs, fast, full):
+            assert repr(got) == repr(want), config
+        live = [rep[0] > 0 for rep in full]  # a Chernoff term that did not underflow
+        assert 0 < sum(short) < len(configs)
+        assert any(s and c for s, c in zip(short, live))
+        assert any(not s and c for s, c in zip(short, live))
+
+    def test_short_cut_only_where_the_rest_is_negligible(self):
+        # the bound's claim, checked against every term of each config it passes
+        passed = 0
+        for n, d, kappa, eps, p1 in _theta_configs(400, seed=28, n_max=10**4):
+            if not bounds._others_negligible(n, d, kappa, eps, p1):
+                continue
+            s = np.arange(kappa - d * n + 1, kappa, dtype=np.float64)
+            terms = bounds._log_l_array(n, d, kappa, eps, p1, s)
+            assert terms[:-1].max(initial=-math.inf) < terms[-1] - bounds._NEGLIGIBLE
+            passed += 1
+        assert passed >= 50
+
+    @pytest.mark.parametrize("n", [10**6, 10**9])
+    def test_short_cut_evaluates_one_term(self, l_calls, n):
+        theta(n, 2, 3 * n, 0.5, split_probability(0.3).p1)
+        assert l_calls == [1]
+
+    def test_golden_config_takes_the_full_sum(self, l_calls):
+        # tests/golden/bounds_theta.json keeps covering the chunk loop
+        theta(4096, 2, 24576, 0.5, split_probability(0.05).p1)
+        assert l_calls == [2 * 4096 - 1]
 
 
 class TestRiordanCondition:

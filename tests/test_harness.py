@@ -331,7 +331,7 @@ class TestRunSweep:
 
     def test_every_point_checked_before_the_first_runs(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(harness, "run_trials", calls.append)
+        monkeypatch.setattr(harness, "_run_work", lambda *args: calls.append(args))
         for values in [(15, 1.7), (15, 0)]:  # a fractional d, then d=0
             with pytest.raises(ValueError):
                 run_sweep(lemma4_config(), "d", values)
@@ -342,6 +342,29 @@ class TestRunSweep:
     def test_bad_axis(self):
         with pytest.raises(ValueError):
             run_sweep(lemma4_config(), "eps", (0.5,))
+
+    @pytest.mark.parametrize("mode, fields, axis, values", [
+        ("lemma3", dict(n=16, p=0.5, kappa=40, d=2), "p", (0.2, 0.5, 0.8)),
+        ("lemma4", dict(n=30, p=0.3, kappa=1, d=9), "d", (6, 9, 12)),
+        ("pipeline", dict(n=8, p=0.9, kappa=40, d=3, target_family="cycle", target_size=8),
+         "p", (0.6, 0.9, 0.95)),
+    ])
+    def test_one_pool_per_sweep_matches_serial(self, monkeypatch, mode, fields, axis, values):
+        config = ExperimentConfig(eps=1.0, trials=30, seed=9, mode=mode, **fields)
+        serial = run_sweep(config, axis, values)
+        pools = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        for jobs in (2, 3):
+            got = run_sweep(replace(config, jobs=jobs), axis, values)
+            assert records_to_jsonl(got.records) == records_to_jsonl(serial.records)
+            assert got.to_csv() == serial.to_csv()
+        assert pools == [2, 3]
 
 
 class TestJsonl:
