@@ -74,7 +74,7 @@ def theorem1_threshold(
     The hypothesis (delta^2+1)^2 < n is reported, not enforced.  With
     alt_parse the structural term is also evaluated at m = floor(n/delta^2)+1.
     """
-    if delta < 1 or eps <= 0 or n < 1:
+    if delta < 1 or not eps > 0 or n < 1:  # NaN fails too
         raise ValueError(f"bad parameters n={n}, delta={delta}, eps={eps}")
     m = n // (delta**2 + 1)
     if m < 2:
@@ -180,16 +180,13 @@ def _others_negligible(n: int, d: int, kappa: int, eps: float, p1: float) -> boo
 
 def theta(n: int, d: int, kappa: int, eps: float, p1: float) -> BoundReport:
     """Total failure bound: the out-degree tail term plus the sum of L(s)
-    over s = kappa-d*n+1 .. kappa-1, accumulated by log-sum-exp.
+    over s = kappa-d*n+1 .. kappa-1: one logsumexp piece per chunk of
+    terms, and a last logsumexp over the pieces.
 
-    The terms go to logsumexp in chunks, one piece per chunk, and the pieces
-    to a last logsumexp.  When _others_negligible shows that every other
-    term lies more than 746 + log(_CHUNK) nats below L(kappa-1), the L-sum's
-    piece is L(kappa-1) alone, with the same bits as the full sum: logsumexp
-    shifts by its largest entry, so in the chunk holding L(kappa-1) every
-    other exp(a - a_max) is 0.0 and the piece is a_max, and every other
-    chunk's piece, at most its largest term plus log(_CHUNK), adds an exact
-    0.0 to the last logsumexp.
+    Where _others_negligible holds, the L-sum's piece is L(kappa-1) alone.
+    That is the full sum's bits because logsumexp shifts by its largest
+    entry: in the chunk holding L(kappa-1) every other exp(a - a_max) is
+    0.0, and every other chunk's piece adds an exact 0.0 to the last one.
     """
     if kappa < d * n:
         raise ValueError(f"need kappa >= d*n, got kappa={kappa}, d*n={d * n}")
@@ -218,8 +215,10 @@ def riordan_condition(
 ) -> RiordanReport:
     """Values of the density-based embedding conditions: n p^gamma / delta^4
     and the side conditions e(H) p and (1-p) sqrt(n)."""
-    if gamma <= 0:
+    if not gamma > 0:  # NaN fails too
         raise ValueError(f"need gamma > 0, got {gamma}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"need p in [0, 1], got {p}")
     return RiordanReport(
         riordan_value=n * p**gamma / delta**4,
         side_condition_edges=e_H_total * p,

@@ -80,14 +80,16 @@ def couple(
     """Sample d-out and truncate it at Binomial(n-1, p1) counts; fails
     (inner None) when some count exceeds d.  rng must run on PCG64: the
     d-out's n(n-1) keys, one 64-bit word each, are skipped with
-    `advance`, so rng ends where drawing them would leave it."""
-    if eps <= 0:
+    `advance`, so rng ends where drawing them would leave it.  Every
+    argument is checked before rng moves."""
+    if not eps > 0:  # NaN fails too
         raise ValueError(f"need eps > 0, got {eps}")
     if not 1 <= d <= n - 1:
         raise ValueError(f"need 1 <= d <= n-1, got d={d}, n={n}")
     bits = rng.bit_generator
     if not isinstance(bits, np.random.PCG64):
         raise ValueError(f"couple needs a PCG64 generator, got {type(bits).__name__}")
+    split_probability(p_target)
     state = bits.state
     bits.advance(n * (n - 1))
     if state["has_uint32"]:

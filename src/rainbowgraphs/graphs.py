@@ -52,10 +52,13 @@ def _int64_rows(rows) -> np.ndarray:
 
 def _frozen_rows(rows, n: int, kappa: int, undirected: bool) -> np.ndarray:
     """A read-only (m, 3) int64 copy of the rows (u, v, colour), after
-    checking n >= 1, endpoints in [0, n), no self-loop (u < v for an
-    undirected graph), no repeated pair and colour 0 or in [1, kappa]."""
+    checking 1 <= n < 2**63, 0 <= kappa < 2**63, endpoints in [0, n), no
+    self-loop (u < v for an undirected graph), no repeated pair and colour
+    0 or in [1, kappa]."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if n >= 2**63 or not 0 <= kappa < 2**63:
+        raise ValueError(f"need n < 2**63 and 0 <= kappa < 2**63, got n={n}, kappa={kappa}")
     a = _int64_rows(rows)
     u, v = a[:, 0], a[:, 1]
     # negative entries wrap to huge unsigned values, so one comparison
@@ -366,70 +369,45 @@ def coalesce_orientation(
     return _trusted(ColouredGraph, d.n, d.kappa, np.column_stack([u[rows], v[rows], c[rows]]))
 
 
-# rows per selection block of `sample_d_out`: 2 MB of indices at n=1000
-_SELECT_ROWS = 256
+def _other_vertex(idx: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The idx-th smallest vertex other than v, entrywise (v broadcasts)."""
+    return idx + (idx >= v)
+
+
+def _vertex_orders(n: int, rng: np.random.Generator) -> np.ndarray:
+    """An (n, n-1) array whose row v lists the vertices other than v in
+    uniform random order: the argsort of row v of rng.random((n, n-1)),
+    whose entry j keys the j-th smallest vertex other than v."""
+    return _other_vertex(np.argsort(rng.random((n, n - 1)), axis=1), np.arange(n)[:, None])
 
 
 def sample_d_out(n: int, d: int, rng: np.random.Generator) -> ColouredDigraph:
     """Every vertex picks d distinct uniform out-neighbours from the other
-    n-1 vertices.  Heads are stored in choice order (arcs grouped by tail);
-    the coupling module consumes that order.  Arcs are uncoloured."""
+    n-1 vertices: the first d of its `_vertex_orders` row.  Heads are
+    stored in choice order (arcs grouped by tail); the coupling module
+    consumes that order.  Arcs are uncoloured."""
     if not 1 <= d <= n - 1:
         raise ValueError(f"need 1 <= d <= n-1, got d={d}, n={n}")
-    # A random key argsort per row is a uniform random ordering of the
-    # n-1 candidate heads; the first d entries are a uniform d-arrangement.
-    # Only those are read, so quickselect (np.argpartition) picks each
-    # row's d+1 smallest keys and only they are sorted.  With distinct
-    # keys the first d of them are the full argsort's first d; a row with
-    # a tie among them is argsorted whole, so every seed gives the heads
-    # of the full-row argsort.
-    keys = rng.random((n, n - 1))
-    width = min(d + 1, n - 1)
-    rows = np.arange(n)[:, None]
-    # selection by blocks of rows, so no (n, n-1) index array is made
-    idx = np.empty((n, width), dtype=np.intp)
-    for lo in range(0, n, _SELECT_ROWS):
-        block = keys[lo : lo + _SELECT_ROWS]
-        idx[lo : lo + _SELECT_ROWS] = np.argpartition(block, width - 1, axis=1)[:, :width]
-    picked = keys[rows, idx]
-    order = np.argsort(picked, axis=1)
-    idx, picked = idx[rows, order], picked[rows, order]
-    tied = picked[:, 1:] == picked[:, :-1]
-    if np.count_nonzero(tied):
-        tied = np.flatnonzero(tied.any(axis=1))
-        idx[tied] = np.argsort(keys[tied], axis=1)[:, :width]
-    heads = _other_vertex(idx[:, :d]).ravel()
+    heads = _vertex_orders(n, rng)[:, :d].ravel()
     arcs = np.column_stack([np.repeat(np.arange(n), d), heads, np.full(n * d, UNCOLOURED)])
     return _trusted(ColouredDigraph, n, 0, arcs)
 
 
-def _other_vertex(idx: np.ndarray) -> np.ndarray:
-    """The idx[v, j]-th smallest vertex other than v, for every entry."""
-    return idx + (idx >= np.arange(len(idx))[:, None])
+def random_permutation_family(n: int, rng: np.random.Generator) -> PermutationFamily:
+    """Independent uniform permutations pi_v of [n] \\ {v}: pi_v maps the
+    j-th smallest vertex other than v to entry j of v's `_vertex_orders`
+    row, drawn from the same keys as a d-out sample."""
+    perms = np.diag(np.arange(n))
+    perms[~np.eye(n, dtype=bool)] = _vertex_orders(n, rng).ravel()
+    return PermutationFamily(perms)
 
 
 def relabel(keys: np.ndarray, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
     """pi_v(h) for every pair (v, h) = (tails[i], heads[i]) with h != v,
-    where pi is the family `random_permutation_family` makes from the
-    (n, n-1) keys.
-
-    Row v of the keys covers the n-1 vertices other than v in order, so h
-    is its entry j = h - [h > v].  The row's argsort is a uniform
-    permutation of those entries, and pi_v(h) is the vertex other than v
-    at the entry the argsort puts in place j.
-    """
-    image = np.argsort(keys, axis=1)[tails, heads - (heads > tails)]
-    return image + (image >= tails)
-
-
-def random_permutation_family(n: int, rng: np.random.Generator) -> PermutationFamily:
-    """Independent uniform permutations pi_v of [n] \\ {v}."""
-    keys = rng.random((n, n - 1))
-    off = ~np.eye(n, dtype=bool)
-    tails, heads = np.nonzero(off)
-    perms = np.diag(np.arange(n))
-    perms[off] = relabel(keys, tails, heads)
-    return PermutationFamily(perms)
+    where pi is the family `random_permutation_family` draws from the
+    (n, n-1) keys: h is entry j = h - [h > v] of row v, and pi_v(h) is
+    entry j of v's `_vertex_orders` row, gathered only at the given pairs."""
+    return _other_vertex(np.argsort(keys, axis=1)[tails, heads - (heads > tails)], tails)
 
 
 def apply_permutations(d: ColouredDigraph, f: PermutationFamily) -> ColouredDigraph:

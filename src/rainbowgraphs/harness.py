@@ -86,7 +86,7 @@ class ExperimentConfig:
             raise ValueError(f"p={self.p} outside [0, 1)")
         if self.kappa < 1:
             raise ValueError(f"need kappa >= 1, got {self.kappa}")
-        if self.eps <= 0:
+        if not self.eps > 0:  # NaN fails too
             raise ValueError(f"need eps > 0, got {self.eps}")
         if self.d < 1:
             raise ValueError(f"need d >= 1, got {self.d}")

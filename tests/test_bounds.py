@@ -73,6 +73,12 @@ class TestTheorem1Threshold:
     def test_hypothesis_flag(self):
         assert not theorem1_threshold(20, 2, 0.5).hypothesis_ok
 
+    @pytest.mark.parametrize("eps", [0.0, -0.5, math.nan])
+    def test_rejects_eps_that_is_not_positive(self, eps):
+        # NaN once gave NaN colour terms, which JSON cannot hold
+        with pytest.raises(ValueError, match="bad parameters"):
+            theorem1_threshold(4096, 2, eps)
+
     def test_alt_parse(self):
         rep = theorem1_threshold(10**4, 2, 0.5, alt_parse=True)
         m2 = 10**4 // 4 + 1
@@ -325,3 +331,11 @@ class TestRiordanCondition:
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
             riordan_condition(100, 0.5, 0.0, 2, 100)
+
+    @pytest.mark.parametrize(
+        "p, gamma, message",
+        [(0.5, math.nan, "gamma"), (math.nan, 2.0, "p in"), (1.5, 2.0, "p in"), (-0.1, 2.0, "p in")],
+    )
+    def test_rejects_nan_and_p_outside_the_unit_interval(self, p, gamma, message):
+        with pytest.raises(ValueError, match=message):
+            riordan_condition(4096, p, gamma, 2, 4096)

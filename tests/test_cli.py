@@ -93,9 +93,18 @@ class TestOtherCommands:
         graph, digraph = tmp_path / "g.txt", tmp_path / "d.txt"
         graph.write_text("4 3\n0 1 1\n1 2 2\n")
         digraph.write_text("3 2\n0 1 1\n0 1 2\n")
+        # headers no graph can hold: a negative kappa, and n or kappa past int64
+        headers = {h: tmp_path / f"h{i}.txt" for i, h in enumerate(["3 -1", "3 -2", f"{2**63} 2", f"3 {2**63}"])}
+        for header, path in headers.items():
+            path.write_text(header + "\n")
         for args, message in [
             (["search", "--graph", str(graph), "--target", "grid"], "--size is required"),
             (["extract", "--in", str(digraph), "--d", "1"], "duplicate arc (0, 1)"),
+            (["extract", "--in", str(headers["3 -1"]), "--d", "1"], "kappa=-1"),
+            (["search", "--graph", str(headers["3 -1"]), "--target", "tree"], "kappa=-1"),
+            (["extract", "--in", str(headers["3 -2"]), "--d", "1"], "kappa=-2"),
+            (["extract", "--in", str(headers[f"{2**63} 2"]), "--d", "1"], f"n={2**63}"),
+            (["search", "--graph", str(headers[f"3 {2**63}"]), "--target", "tree"], f"kappa={2**63}"),
             (["extract", "--in", str(tmp_path / "missing.txt"), "--d", "1"], "missing.txt"),
             # options the run would ignore
             (["gen", "--n", "5", "--p", "0.5", "--kappa", "10", "--split"], "--split needs --directed"),
@@ -141,6 +150,13 @@ class TestOtherCommands:
               "--d", "5"], "--d is set by --axis"),
             (["sweep", "--mode", "lemma4", "--axis", "n", "--grid", "inf", "--trials", "1", "--d", "2"],
              "n takes integers, got inf"),
+            # NaN and p outside [0, 1] in the analytic reports, which once
+            # printed NaN fields (not JSON) or a negative side condition
+            (["bounds", "--n", "4096", "--delta", "2", "--eps", "nan", "--json"], "eps=nan"),
+            (["bounds", "--n", "4096", "--delta", "2", "--p", "nan", "--gamma", "2"], "need p in [0, 1], got nan"),
+            (["bounds", "--n", "4096", "--delta", "2", "--gamma", "nan"], "need gamma > 0, got nan"),
+            (["bounds", "--n", "4096", "--delta", "2", "--p", "1.5", "--gamma", "2"], "need p in [0, 1], got 1.5"),
+            (["trial", "--mode", "pipeline", "--n", "8", "--trials", "1", "--eps", "nan"], "need eps > 0, got nan"),
         ]:
             assert main(args) == 2
             out, err = capsys.readouterr()

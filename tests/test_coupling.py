@@ -91,6 +91,27 @@ class TestCouple:
         with pytest.raises(ValueError):
             couple(10, 10, 0.5, 0.5, substream(0))
 
+    @pytest.mark.parametrize(
+        "d, p_target, eps, make, message",
+        [
+            (3, 1.0, 0.5, substream, "p must lie"),
+            (3, -0.1, 0.5, substream, "p must lie"),
+            (3, math.nan, 0.5, substream, "p must lie"),
+            (3, 0.5, 0.0, substream, "eps"),
+            (3, 0.5, math.nan, substream, "eps"),
+            (10, 0.5, 0.5, substream, "d <= n-1"),
+            (3, 0.5, 0.5, lambda seed: np.random.Generator(np.random.MT19937(seed)), "PCG64"),
+        ],
+    )
+    def test_rejects_before_moving_the_generator(self, d, p_target, eps, make, message):
+        # a bad p_target used to raise only after the d-out's keys were skipped
+        rng, twin = make(61), make(61)
+        rng.integers(1, 1000, 1), twin.integers(1, 1000, 1)  # with a cached half
+        with pytest.raises(ValueError, match=message):
+            couple(10, d, p_target, eps, rng)
+        assert rng.integers(1, 1000, 3).tolist() == twin.integers(1, 1000, 3).tolist()
+        assert rng.random(3).tolist() == twin.random(3).tolist()
+
 
 class TestLazyOutcome:
     @pytest.mark.parametrize("n, d, p_target", [(6, 3, 0.3), (6, 2, 0.9), (1000, 55, 0.06), (1000, 2, 0.06)])

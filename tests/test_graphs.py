@@ -358,6 +358,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             ColouredDigraph(n=0, kappa=1, arcs=())
 
+    @pytest.mark.parametrize("n, kappa", [(3, -1), (3, -2), (2**63, 2), (3, 2**63)])
+    def test_rejects_headers_no_graph_can_hold(self, n, kappa):
+        # kappa = -1 with no rows was accepted; the others overflowed the
+        # uint64 bounds with an OverflowError
+        for cls, field in [(ColouredDigraph, "arcs"), (ColouredGraph, "edges")]:
+            with pytest.raises(ValueError, match="need n"):
+                cls(n=n, kappa=kappa, **{field: ()})
+        # kappa = 0 holds the uncoloured rows of a d-out sample
+        assert ColouredDigraph(n=3, kappa=0, arcs=((0, 1, 0),)).arcs.tolist() == [[0, 1, 0]]
+        assert ColouredDigraph(n=2**63 - 1, kappa=2**63 - 1, arcs=()).n == 2**63 - 1
+
     @pytest.mark.parametrize(
         "rows, entry",
         [
@@ -538,7 +549,7 @@ class TestLoopReferences:
         assert sample_d_out(n, d, substream(53, n)).arcs.tolist() == want
 
     def test_sample_d_out_matches_full_argsort(self):
-        # partial selection reads the same heads as argsorting every row
+        # the heads are the first d of argsorting every row of the keys
         for n in range(2, 61):
             for d in sorted({1, 2, n // 2, n - 2, n - 1} & set(range(1, n))):
                 for seed in range(3):
@@ -557,6 +568,16 @@ class TestLoopReferences:
             keys = substream(56, n, levels).integers(0, levels, (n, n - 1)) / levels
             want = other_vertex_heads(np.argsort(keys, axis=1)[:, :d])
             assert sample_d_out(n, d, StubGenerator(keys)).arcs[:, 1].tolist() == want
+
+    @pytest.mark.parametrize("n, d", [(6, 2), (50, 7), (300, 55), (9, 8)])
+    def test_sample_d_out_is_the_start_of_the_permutation_family(self, n, d):
+        # one ordering of the other vertices per vertex: a d-out sample's
+        # heads are the first d off-diagonal entries of each row of the
+        # permutation family drawn from the same substream
+        heads = sample_d_out(n, d, substream(58, n)).arcs[:, 1].reshape(n, d)
+        perms = random_permutation_family(n, substream(58, n)).perms
+        off_diagonal = perms[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+        assert heads.tolist() == off_diagonal[:, :d].tolist()
 
     @pytest.mark.parametrize("n, d", [(2, 1), (6, 2), (50, 7), (50, 49)])
     def test_sample_d_out_draws_only_the_key_matrix(self, n, d):

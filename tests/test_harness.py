@@ -173,7 +173,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("eps", -1.0), ("eps", 0.0), ("d", 0), ("seed", -1), ("n", 1), ("p", 1.0),
+        [("eps", -1.0), ("eps", 0.0), ("eps", math.nan), ("d", 0), ("seed", -1), ("n", 1), ("p", 1.0),
          ("d", 30)],
     )
     def test_rejects_bad_value(self, field, value):
